@@ -28,11 +28,27 @@
 //! mixes events from different revolutions: every wheel index maps to one
 //! absolute bucket number inside `[cursor, cursor + n)`.
 //!
+//! ## Streamed injections
+//!
+//! A second source holds the `Inject` events of a streamed workload
+//! ([`Simulator::run_with_injections`](crate::sim::Simulator::run_with_injections)):
+//! a FIFO of entries that is sorted by construction, because a stream
+//! packet is admitted only once it is *due* — its injection time is at or
+//! before every pending event ([`EventQueue::injection_due`]) — and takes
+//! the next push sequence number at that moment
+//! ([`EventQueue::push_injection`]). [`EventQueue::pop`] merges the FIFO
+//! front with the wheel by `(time, seq)`, so the order is exactly the one
+//! an ordinary [`EventQueue::push`] at admission time would give. What the
+//! second source saves is work, not order: a flow's same-instant packet
+//! train no longer goes one binary insertion at a time into the bucket
+//! being drained, and the due check reads the sorted back of the cursor
+//! bucket instead of scanning for the earliest event.
+//!
 //! Events themselves are small: packets are carried as 4-byte
 //! [`PacketRef`]s into the simulator's arena, not by value.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::arena::PacketRef;
 use crate::id::{AgentId, NodeId, PortId};
@@ -140,6 +156,11 @@ pub struct EventQueue {
     wheel_len: usize,
     /// Events beyond the wheel horizon, min-first.
     overflow: BinaryHeap<Entry>,
+    /// Streamed injections already due, sorted by `(time, seq)`; the
+    /// second source `pop` merges with the wheel. Never behind the
+    /// cursor: its front's bucket is `>= cursor`, because injections are
+    /// pushed at `>= now` and the cursor never passes `now`'s bucket.
+    injections: VecDeque<Entry>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -162,6 +183,7 @@ impl EventQueue {
             cursor_sorted: false,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
+            injections: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -221,6 +243,54 @@ impl EventQueue {
         });
     }
 
+    /// Append a streamed `Inject(pkt)` at `at` to the injection FIFO,
+    /// taking the next push sequence number — so it pops exactly where a
+    /// [`Self::push`] at this moment would have put it. The simulator calls
+    /// it once an injection is due ([`Self::injection_due`]); the queue's
+    /// order does not depend on that, only on the FIFO staying sorted.
+    ///
+    /// # Panics
+    /// If `at` is in the past, or earlier than an injection already in
+    /// the FIFO.
+    pub fn push_injection(&mut self, at: SimTime, pkt: PacketRef) {
+        assert!(
+            at >= self.now,
+            "event scheduled in the past: {at} < now {}",
+            self.now
+        );
+        assert!(
+            self.injections.back().is_none_or(|b| at >= b.time),
+            "streamed injections must arrive in time order"
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        self.injections.push_back(Entry {
+            time: at,
+            seq,
+            event: Event::Inject(pkt),
+        });
+    }
+
+    /// Whether an injection at `at` is due: at or before every pending
+    /// event, counting injections already in the FIFO (trivially true on
+    /// an empty queue). O(1) when `at` lies past the FIFO front or the
+    /// bucket under the cursor still holds events — its sorted back is
+    /// the earliest wheel event; otherwise it falls back to
+    /// [`Self::peek_time`].
+    pub fn injection_due(&self, at: SimTime) -> bool {
+        if self.injections.front().is_some_and(|front| at > front.time) {
+            return false;
+        }
+        if self.cursor_sorted {
+            let idx = (self.cursor & self.mask()) as usize;
+            if let Some(back) = self.buckets[idx].last() {
+                return at <= back.time;
+            }
+        }
+        self.peek_time().is_none_or(|next| at <= next)
+    }
+
     fn insert(&mut self, e: Entry) {
         self.len += 1;
         let abs = Self::abs_bucket(e.time);
@@ -247,22 +317,25 @@ impl EventQueue {
         self.wheel_len += 1;
     }
 
-    /// Advance the cursor to the next absolute bucket holding events,
-    /// migrating overflow entries that come within the new horizon.
-    /// Precondition: the current bucket is empty and `len > 0`.
-    fn advance(&mut self) {
+    /// Advance the cursor to the next absolute bucket holding events, but
+    /// never past `cap` (the injection FIFO front's bucket), migrating
+    /// overflow entries that come within the new horizon. Precondition:
+    /// the current bucket is empty, the wheel or overflow is non-empty,
+    /// and `cap` (if any) lies past the cursor.
+    fn advance(&mut self, cap: Option<u64>) {
         let wheel_next = if self.wheel_len > 0 {
             Some(self.next_occupied_abs())
         } else {
             None
         };
         let over_next = self.overflow.peek().map(|e| Self::abs_bucket(e.time));
-        self.cursor = match (wheel_next, over_next) {
+        let next = match (wheel_next, over_next) {
             (Some(w), Some(o)) => w.min(o),
             (Some(w), None) => w,
             (None, Some(o)) => o,
             (None, None) => unreachable!("advance() called on an empty queue"),
         };
+        self.cursor = cap.map_or(next, |c| next.min(c));
         self.cursor_sorted = false;
         // Pull newly in-horizon overflow entries into the wheel.
         let limit = self.cursor + self.horizon();
@@ -305,52 +378,73 @@ impl EventQueue {
         unreachable!("wheel_len > 0 but no occupied bucket found")
     }
 
-    /// Pop the earliest event, advancing the clock to its timestamp.
+    /// Pop the earliest event, advancing the clock to its timestamp. The
+    /// wheel (with its overflow) and the injection FIFO are merged by
+    /// `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         if self.len == 0 {
             return None;
         }
-        loop {
+        let injection = self.injections.front().map(Entry::key);
+        let e = loop {
             let idx = (self.cursor & self.mask()) as usize;
-            if self.buckets[idx].is_empty() {
-                self.advance();
-                continue;
+            if !self.buckets[idx].is_empty() {
+                if !self.cursor_sorted {
+                    // Descending by (time, seq): the back is the next to pop.
+                    self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                    self.cursor_sorted = true;
+                }
+                let bucket = &mut self.buckets[idx];
+                if injection.is_some_and(|k| bucket.last().is_some_and(|b| k < b.key())) {
+                    break self.injections.pop_front();
+                }
+                let e = bucket.pop();
+                if bucket.is_empty() {
+                    self.clear_bit(idx);
+                }
+                self.wheel_len -= 1;
+                break e;
             }
-            if !self.cursor_sorted {
-                // Descending by (time, seq): the back is the next to pop.
-                self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.cursor_sorted = true;
+            // The FIFO front is never behind the cursor, and every wheel
+            // entry lies past an empty cursor bucket: a front in that
+            // bucket, or nothing else pending, means the front goes next.
+            let cap = injection.map(|(t, _)| Self::abs_bucket(t));
+            if cap.is_some_and(|c| c <= self.cursor)
+                || (self.wheel_len == 0 && self.overflow.is_empty())
+            {
+                break self.injections.pop_front();
             }
-            let e = self.buckets[idx].pop().expect("checked non-empty"); // lint:allow(panic-path): the scan above only yields indices of non-empty buckets
-            if self.buckets[idx].is_empty() {
-                self.clear_bit(idx);
-            }
-            self.wheel_len -= 1;
-            self.len -= 1;
-            debug_assert!(e.time >= self.now);
-            self.now = e.time;
-            return Some((e.time, e.event));
-        }
+            self.advance(cap);
+        }?;
+        self.len -= 1;
+        debug_assert!(e.time >= self.now);
+        self.now = e.time;
+        Some((e.time, e.event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
+        let injection = self.injections.front().map(|e| e.time);
+        let queued = if self.wheel_len == 0 {
+            self.overflow.peek().map(|e| e.time)
+        } else {
+            // Wheel entries always precede overflow entries (their
+            // absolute buckets are strictly smaller), and the earliest
+            // wheel entry lives in the first occupied bucket at/after the
+            // cursor.
+            let abs = self.next_occupied_abs();
+            let idx = (abs & self.mask()) as usize;
+            let bucket = &self.buckets[idx];
+            if abs == self.cursor && self.cursor_sorted {
+                bucket.last().map(|e| e.time)
+            } else {
+                bucket.iter().map(|e| e.key()).min().map(|(t, _)| t)
+            }
+        };
+        match (queued, injection) {
+            (Some(q), Some(i)) => Some(q.min(i)),
+            (q, i) => q.or(i),
         }
-        if self.wheel_len == 0 {
-            return self.overflow.peek().map(|e| e.time);
-        }
-        // Wheel entries always precede overflow entries (their absolute
-        // buckets are strictly smaller), and the earliest wheel entry
-        // lives in the first occupied bucket at/after the cursor.
-        let abs = self.next_occupied_abs();
-        let idx = (abs & self.mask()) as usize;
-        let bucket = &self.buckets[idx];
-        if abs == self.cursor && self.cursor_sorted {
-            return bucket.last().map(|e| e.time);
-        }
-        bucket.iter().map(|e| e.key()).min().map(|(t, _)| t)
     }
 
     /// Number of pending events.
@@ -376,10 +470,13 @@ mod tests {
         }
     }
 
+    /// A timer's key, or an injection's arena slot (the tests use it as
+    /// a key too).
     fn key_of(e: &Event) -> u64 {
         match e {
             Event::Timer { key, .. } => *key,
-            _ => panic!("expected timer"),
+            Event::Inject(pkt) => pkt.slot() as u64,
+            _ => panic!("expected timer or injection"),
         }
     }
 
@@ -500,33 +597,116 @@ mod tests {
     }
 
     #[test]
+    fn injections_tie_by_push_order_with_wheel_events() {
+        // Same instant from both sources: a wheel event pushed before the
+        // injection pops first, one pushed after pops last.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(4);
+        q.push(t, timer(0));
+        q.push_injection(t, PacketRef(1));
+        q.push_injection(t, PacketRef(2));
+        q.push(t, timer(3));
+        q.push(SimTime::from_us(3), timer(4));
+        q.push_injection(SimTime::from_ms(30), PacketRef(5)); // past the horizon
+        q.push(SimTime::from_ms(20), timer(6)); // overflow
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| key_of(&e))
+            .collect();
+        assert_eq!(order, vec![4, 0, 1, 2, 3, 6, 5]);
+    }
+
+    #[test]
+    fn len_counts_pending_injections() {
+        let mut q = EventQueue::new();
+        assert!(q.injection_due(SimTime::from_us(9)), "empty queue admits");
+        q.push_injection(SimTime::from_us(2), PacketRef(0));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.push(SimTime::from_us(1), timer(1));
+        q.push_injection(SimTime::from_us(2), PacketRef(2));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
+        assert!(q.injection_due(SimTime::from_us(1)));
+        assert!(!q.injection_due(SimTime::from_us(3)));
+        let mut popped = Vec::new();
+        while let Some((_, e)) = q.pop() {
+            popped.push(key_of(&e));
+            assert_eq!(q.len(), 3 - popped.len());
+        }
+        assert_eq!(popped, vec![1, 0, 2]);
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::from_us(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "in time order")]
+    fn rejects_out_of_order_injections() {
+        let mut q = EventQueue::new();
+        q.push_injection(SimTime::from_us(5), PacketRef(0));
+        q.push_injection(SimTime::from_us(4), PacketRef(1));
+    }
+
+    #[test]
     fn matches_reference_heap_on_dense_workload() {
         // Differential test against a plain sorted reference over a
-        // deterministic pseudo-random schedule mixing horizons.
+        // deterministic pseudo-random schedule mixing horizons, with
+        // streamed injections interleaved — often at the instant of a
+        // wheel push, so ties cross the two sources.
         let mut q = EventQueue::new();
         let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, key)
         let mut state = 12345u64;
         let mut now = 0u64;
+        let mut last_injection = 0u64;
         let mut key = 0u64;
         let mut popped = Vec::new();
-        for round in 0..20_000u64 {
+        for _ in 0..20_000u64 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let choice = state >> 62;
-            if choice < 3 {
-                // Push at now + jitter (ns to tens of ms).
+            let choice = state >> 61;
+            if choice < 5 {
+                // Push at now + jitter (ns to tens of ms), or at now.
                 let exp = (state >> 40) % 35; // deltas up to ~17 ms: both sides of the horizon
-                let delta = (state >> 8) % (1u64 << exp.max(1));
+                let delta = if choice == 0 {
+                    0
+                } else {
+                    (state >> 8) % (1u64 << exp.max(1))
+                };
                 let t = now + delta;
                 q.push(SimTime::from_ps(t), timer(key));
                 reference.push((t, key));
                 key += 1;
+            } else if choice == 5 {
+                // A same-instant train of injections, sometimes followed
+                // by a wheel push at the same instant.
+                let exp = (state >> 40) % 35;
+                let delta = if state & (1 << 7) == 0 {
+                    0
+                } else {
+                    (state >> 8) % (1u64 << exp.max(1))
+                };
+                let t = now.max(last_injection) + delta;
+                last_injection = t;
+                for _ in 0..1 + (state >> 20) % 4 {
+                    q.push_injection(SimTime::from_ps(t), PacketRef(key as u32));
+                    reference.push((t, key));
+                    key += 1;
+                }
+                if state & (1 << 6) == 0 {
+                    q.push(SimTime::from_ps(t), timer(key));
+                    reference.push((t, key));
+                    key += 1;
+                }
             } else if let Some((t, e)) = q.pop() {
                 now = t.as_ps();
                 popped.push((t.as_ps(), key_of(&e)));
             }
-            let _ = round;
+            // The O(1) due check agrees with the scan it replaces.
+            let probe = SimTime::from_ps(now + (state >> 30) % 3_000_000);
+            assert_eq!(
+                q.injection_due(probe),
+                q.peek_time().is_none_or(|next| probe <= next)
+            );
         }
         while let Some((t, e)) = q.pop() {
             popped.push((t.as_ps(), key_of(&e)));

@@ -18,7 +18,8 @@
 //! * [`arena`] — slab storage for in-flight packets; the hot path moves
 //!   4-byte [`PacketRef`](arena::PacketRef)s, never packet bodies
 //! * [`event`] — calendar-queue future-event list with deterministic
-//!   tie-breaking (heap-backed overflow for far-future events)
+//!   tie-breaking (heap-backed overflow for far-future events, and a FIFO
+//!   of due streamed injections merged in on pop)
 //! * [`packet`] — packets and the dynamic scheduling header
 //! * [`queue`] — the [`Scheduler`](queue::Scheduler) trait and the shared
 //!   rank heap

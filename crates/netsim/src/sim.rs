@@ -297,10 +297,16 @@ impl Simulator {
     /// `packet.injected_at`. This is the packet body's one move into the
     /// arena; everything downstream carries a [`PacketRef`].
     pub fn inject(&mut self, packet: Packet) {
-        self.next_packet_id = self.next_packet_id.max(packet.id.0 + 1);
         let at = packet.injected_at;
-        let pkt = self.arena.alloc(packet);
+        let pkt = self.admit(packet);
         self.events.push(at, Event::Inject(pkt));
+    }
+
+    /// Move a pre-built packet into the arena, keeping the ids agents
+    /// allocate clear of its id.
+    fn admit(&mut self, packet: Packet) -> PacketRef {
+        self.next_packet_id = self.next_packet_id.max(packet.id.0 + 1);
+        self.arena.alloc(packet)
     }
 
     /// Arm an agent timer from outside a callback — how transports kick
@@ -368,6 +374,15 @@ impl Simulator {
     /// injection time, so the event queue — and therefore memory — holds
     /// only in-flight work, never the full future workload.
     ///
+    /// A stream packet becomes *due* once its `injected_at` is at or
+    /// before every pending event, counting injections already due. At
+    /// that moment it moves into the packet arena and takes the next push
+    /// sequence number, so it ties after every event already scheduled for
+    /// its instant; a flow's whole same-instant train becomes due at once.
+    /// Due packets wait in the event queue's injection FIFO, a second
+    /// source that [`EventQueue::pop`] merges with the calendar wheel, and
+    /// are dispatched through [`Self::step`] as ordinary `Inject` events.
+    ///
     /// Streamed injection is its own determinism domain: same-time events
     /// fire in push order, and pulling packets lazily interleaves pushes
     /// differently than [`Self::inject`]-all-then-[`Self::run`]. Two runs
@@ -376,28 +391,28 @@ impl Simulator {
     ///
     /// # Panics
     /// If the iterator yields a packet whose `injected_at` is earlier
-    /// than one already consumed (debug builds).
+    /// than one already consumed.
     pub fn run_with_injections(&mut self, packets: impl IntoIterator<Item = Packet>) {
         let mut pending = packets.into_iter().peekable();
         let mut last_injected = SimTime::ZERO;
-        loop {
-            let due_now = match (pending.peek(), self.events.peek_time()) {
-                (Some(p), Some(next)) => p.injected_at <= next,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if due_now {
-                let p = pending.next().expect("peeked"); // lint:allow(panic-path): peek on the same iterator returned Some
-                debug_assert!(
+        while let Some(p) = pending.peek() {
+            let at = p.injected_at;
+            if !self.events.injection_due(at) {
+                self.step();
+                continue;
+            }
+            while let Some(p) = pending.next_if(|p| p.injected_at <= at) {
+                assert!(
                     p.injected_at >= last_injected,
                     "run_with_injections needs an injection-time-sorted stream"
                 );
                 last_injected = p.injected_at;
-                self.inject(p);
-            } else {
-                self.step();
+                let pkt = self.admit(p);
+                self.events.push_injection(last_injected, pkt);
             }
+        }
+        while !self.events.is_empty() {
+            self.step();
         }
     }
 
@@ -1124,6 +1139,16 @@ mod tests {
         // The oracle is consumed with the simulator; verify indirectly:
         // both events processed without panic and stats counted them.
         assert_eq!(sim.stats().link_events, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_with_injections needs an injection-time-sorted stream")]
+    fn streamed_injection_rejects_an_unsorted_stream() {
+        let mut sim = line_network(2, SchedulerKind::Fifo);
+        sim.run_with_injections([
+            pkt_on(&[0, 1], 0, SimTime::from_us(10)),
+            pkt_on(&[0, 1], 1, SimTime::from_us(5)),
+        ]);
     }
 
     #[test]

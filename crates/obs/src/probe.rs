@@ -23,7 +23,8 @@ pub struct SimSample {
     pub t_ps: u64,
     /// Packets alive in the arena (injected, not yet delivered/dropped).
     pub in_flight: u64,
-    /// Events pending in the calendar queue (wheel + overflow).
+    /// Events pending in the calendar queue (wheel, overflow and due
+    /// streamed injections).
     pub pending_events: u64,
     /// Packets queued across all ports.
     pub queued_packets: u64,
