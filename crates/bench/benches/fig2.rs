@@ -4,7 +4,7 @@
 //! buffers.
 //!
 //! The four schemes are independent simulations, so they run as jobs on
-//! the `ups-sweep` work-stealing pool (`UPS_SWEEP_WORKERS` caps the
+//! the `ups-sweep` job pool (`UPS_SWEEP_WORKERS` caps the
 //! width; default: one worker per scheme, at most the core count).
 //!
 //! Output: per scheme, the overall mean FCT (the figure's legend) and one
@@ -82,7 +82,7 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "# pool: {} schemes on {} workers ({} steals)",
-        stats.jobs, stats.workers, stats.steals
+        "# pool: {} schemes on {} workers",
+        stats.jobs, stats.workers
     );
 }

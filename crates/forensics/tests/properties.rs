@@ -1,4 +1,4 @@
-//! Property tests for the attribution invariants DESIGN.md §15 promises:
+//! Property tests for the attribution invariants DESIGN.md §14 promises:
 //!
 //! 1. **Conservation**: for any workload, seed and replay flavor, the
 //!    five cause counts and the five inversion counts each sum exactly

@@ -60,14 +60,6 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 /// `atomic-ordering`) apply.
 pub const GENERAL_CRATES: &[&str] = &["bench", "criterion", "proptest", "rand"];
 
-/// Crates whose library code must route concurrency primitives through
-/// the `ups_race` shim (`raw-sync` rule): the model checker mirrors
-/// exactly the shim surface, so a direct `std::sync`/`std::thread` use
-/// here is a primitive the checker silently does not cover.
-/// `std::sync::Arc`/`Weak` are exempt (ownership, not synchronization),
-/// as are `#[cfg(test)]` regions.
-pub const SYNC_SHIM_CRATES: &[&str] = &["obs", "sweep"];
-
 /// Hot-path crates where a stray panic aborts a whole sweep job
 /// (`panic-path` rule): `unwrap`/`expect`/`panic!`/computed indexing in
 /// their library code must be handled or carry a

@@ -2,9 +2,9 @@
 //! or builds: the simulator, the packet arena, the event list, the trace,
 //! and every scheduling discipline.
 //!
-//! The `ups-sweep` work-stealing pool executes one full simulation per
-//! job on whichever worker steals it, so `Simulator` (and everything it
-//! owns) must stay `Send`. A future `Rc`/raw-pointer regression anywhere
+//! The `ups-sweep` job pool executes one full simulation per job on
+//! whichever worker claims it, so `Simulator` (and everything it owns)
+//! must stay `Send`. A future `Rc`/raw-pointer regression anywhere
 //! in the simulator's ownership graph fails *this file's compilation*,
 //! not a run of the pool.
 

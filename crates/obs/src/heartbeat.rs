@@ -15,10 +15,10 @@
 use ups_metrics::json_num;
 
 /// Schema tag of one heartbeat JSONL line.
-pub const HEARTBEAT_SCHEMA: &str = "ups-obs-heartbeat/v1";
+pub const HEARTBEAT_SCHEMA: &str = "ups-obs-heartbeat/v2";
 
 /// Schema tag of the run-level time-series artifact.
-pub const TIMESERIES_SCHEMA: &str = "ups-obs-timeseries/v1";
+pub const TIMESERIES_SCHEMA: &str = "ups-obs-timeseries/v2";
 
 /// One worker's accounting at a heartbeat tick (cumulative).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,27 +31,18 @@ pub struct WorkerRow {
     pub busy_s: f64,
     /// `busy_s / elapsed_s` — 1.0 is a saturated worker.
     pub utilization: f64,
-    /// Jobs this worker stole from other queues.
-    pub steals: u64,
-    /// Jobs stolen *from* this worker's queue (victim attribution).
-    pub stolen_from: u64,
 }
 
 impl WorkerRow {
     /// One JSON object, flat.
-    // lint:schema(ups-obs-heartbeat/v1)
+    // lint:schema(ups-obs-heartbeat/v2)
     pub fn to_json(&self) -> String {
         format!(
-            concat!(
-                "{{\"worker\": {}, \"jobs\": {}, \"busy_s\": {}, ",
-                "\"utilization\": {}, \"steals\": {}, \"stolen_from\": {}}}"
-            ),
+            "{{\"worker\": {}, \"jobs\": {}, \"busy_s\": {}, \"utilization\": {}}}",
             self.worker,
             self.jobs,
             json_num(self.busy_s),
-            json_num(self.utilization),
-            self.steals,
-            self.stolen_from
+            json_num(self.utilization)
         )
     }
 }
@@ -75,7 +66,7 @@ pub struct HeartbeatRecord {
 
 impl HeartbeatRecord {
     /// One self-describing JSON line (no trailing newline).
-    // lint:schema(ups-obs-heartbeat/v1)
+    // lint:schema(ups-obs-heartbeat/v2)
     pub fn to_json(&self) -> String {
         let workers: Vec<String> = self.workers.iter().map(|w| w.to_json()).collect();
         format!(
@@ -94,16 +85,11 @@ impl HeartbeatRecord {
     }
 }
 
-/// Render the run-level `ups-obs-timeseries/v1` document from the tick
-/// history. `workers`/`steals` describe the finished pool; `wall_s` the
-/// whole sweep.
-// lint:schema(ups-obs-timeseries/v1)
-pub fn timeseries_json(
-    records: &[HeartbeatRecord],
-    workers: usize,
-    steals: u64,
-    wall_s: f64,
-) -> String {
+/// Render the run-level `ups-obs-timeseries/v2` document from the tick
+/// history. `workers` is the finished pool's size; `wall_s` the whole
+/// sweep.
+// lint:schema(ups-obs-timeseries/v2)
+pub fn timeseries_json(records: &[HeartbeatRecord], workers: usize, wall_s: f64) -> String {
     let body: Vec<String> = records
         .iter()
         .map(|r| format!("    {}", r.to_json()))
@@ -113,14 +99,12 @@ pub fn timeseries_json(
             "{{\n",
             "  \"schema\": \"{}\",\n",
             "  \"workers\": {},\n",
-            "  \"steals\": {},\n",
             "  \"wall_s\": {},\n",
             "  \"heartbeats\": [\n{}\n  ]\n",
             "}}\n"
         ),
         TIMESERIES_SCHEMA,
         workers,
-        steals,
         json_num(wall_s),
         body.join(",\n")
     )
@@ -143,14 +127,12 @@ mod tests {
                 jobs: 3,
                 busy_s: 1.2,
                 utilization: 0.8,
-                steals: 1,
-                stolen_from: 0,
             }],
         };
         let j = r.to_json();
         assert!(j.starts_with(&format!("{{\"schema\": \"{HEARTBEAT_SCHEMA}\"")));
         assert!(j.contains("\"eta_s\": 4.5"));
-        assert!(j.contains("\"stolen_from\": 0"));
+        assert!(j.contains("\"utilization\": 0.8}"));
         let none = HeartbeatRecord { eta_s: None, ..r };
         assert!(none.to_json().contains("\"eta_s\": null"));
     }
@@ -165,7 +147,7 @@ mod tests {
             eta_s: Some(0.0),
             workers: vec![],
         };
-        let doc = timeseries_json(&[r], 2, 0, 0.1);
+        let doc = timeseries_json(&[r], 2, 0.1);
         assert!(doc.contains(TIMESERIES_SCHEMA));
         assert!(doc.contains("\"heartbeats\": ["));
     }

@@ -163,16 +163,14 @@ impl SimProbe for TimeSeriesProbe {
 /// once per sample tick, not per event.
 #[derive(Debug, Clone)]
 pub struct SharedProbe {
-    inner: std::sync::Arc<ups_race::sync::Mutex<TimeSeriesProbe>>,
+    inner: std::sync::Arc<std::sync::Mutex<TimeSeriesProbe>>,
 }
 
 impl SharedProbe {
     /// A shared probe sampling every `interval_ps` picoseconds.
     pub fn new(interval_ps: u64) -> Self {
         SharedProbe {
-            inner: std::sync::Arc::new(ups_race::sync::Mutex::new(TimeSeriesProbe::new(
-                interval_ps,
-            ))),
+            inner: std::sync::Arc::new(std::sync::Mutex::new(TimeSeriesProbe::new(interval_ps))),
         }
     }
 

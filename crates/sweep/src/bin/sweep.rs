@@ -51,7 +51,7 @@ struct Args {
 }
 
 fn default_workers() -> usize {
-    ups_race::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8)
@@ -104,7 +104,7 @@ EXECUTION & OUTPUT:
   --jsonl PATH        streamed records (default sweep_results.jsonl)
   --telemetry BASE    write sweep telemetry: one heartbeat JSON line per
                       second to BASE.heartbeat.jsonl (done/total, jobs/sec,
-                      ETA, per-worker utilization and steal attribution)
+                      ETA, per-worker jobs and utilization)
                       plus the run-level BASE.timeseries.json artifact,
                       schema-checked by --validate like any BENCH_*.json
   --check             validate the artifact after writing
@@ -375,9 +375,6 @@ fn list_registries() {
     println!("forensics bench (cargo bench -p ups-bench --bench forensics; env knobs):");
     println!("  UPS_FORENSICS_PACKETS  packet floor per bench row (default 30000)");
     println!("  UPS_FORENSICS_SEED     workload seed for both axes (default 7)");
-    println!("model checker (cargo test -p ups-race; env knobs):");
-    println!("  UPS_RACE_PREEMPTION_BOUND  DFS preemption budget per execution (default 2)");
-    println!("  UPS_RACE_RANDOM_SCHEDULES  seeded random schedules per test (default 64)");
 }
 
 /// Schema-check one artifact, dispatching on its parsed schema tag: each
@@ -634,18 +631,27 @@ fn main() -> ExitCode {
         args.workers,
         jobs.len(),
     )));
-    let heartbeat = Heartbeat::start(
+    let heartbeat_jsonl = args
+        .telemetry
+        .as_ref()
+        .map(|base| with_suffix(base, ".heartbeat.jsonl"));
+    let heartbeat = match Heartbeat::start(
         Arc::clone(&telemetry),
         HeartbeatConfig {
             total: jobs.len() as u64,
             interval: Duration::from_secs(1),
             progress: !quiet,
-            jsonl: args
-                .telemetry
-                .as_ref()
-                .map(|base| with_suffix(base, ".heartbeat.jsonl")),
+            jsonl: heartbeat_jsonl.clone(),
         },
-    );
+    ) {
+        Ok(h) => h,
+        Err(e) => {
+            // Only the jsonl file can fail to open.
+            let path = heartbeat_jsonl.unwrap_or_default();
+            eprintln!("sweep: cannot create {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
     // One topology build + all-pairs BFS per *distinct* topology, shared
     // read-only across workers, instead of one per job.
     let shared = runner::SharedScenarios::for_jobs(jobs.iter().map(|j| j.as_ref()));
@@ -708,25 +714,12 @@ fn main() -> ExitCode {
         eprintln!("sweep: cannot write {}: {e}", args.out.display());
         return ExitCode::FAILURE;
     }
-    // Steal attribution: thief side first, then which queues were raided.
-    let stolen: Vec<String> = stats
-        .per_worker
-        .iter()
-        .filter(|w| w.stolen_from > 0)
-        .map(|w| format!("{}×w{}", w.stolen_from, w.worker))
-        .collect();
     println!(
-        "# {} jobs in {:.2}s on {} workers ({:.2} jobs/sec, {} steals{})",
+        "# {} jobs in {:.2}s on {} workers ({:.2} jobs/sec)",
         records.len(),
         wall_s,
         stats.workers,
-        records.len() as f64 / wall_s,
-        stats.steals,
-        if stolen.is_empty() {
-            String::new()
-        } else {
-            format!(" from {}", stolen.join(" "))
-        }
+        records.len() as f64 / wall_s
     );
     println!(
         "# wrote {} and {}",
@@ -735,8 +728,7 @@ fn main() -> ExitCode {
     );
     if let Some(base) = &args.telemetry {
         let ts_path = with_suffix(base, ".timeseries.json");
-        let ts_doc =
-            ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, stats.steals, wall_s);
+        let ts_doc = ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, wall_s);
         if let Err(e) = std::fs::write(&ts_path, &ts_doc) {
             eprintln!("sweep: cannot write {}: {e}", ts_path.display());
             return ExitCode::FAILURE;

@@ -3,8 +3,8 @@
 //! Runs *grids* of scheduling scenarios across all cores: a declarative
 //! [`ScenarioGrid`] (topology × workload profile × scheduler × traffic
 //! mode × utilization × seed, with filters) expands to independent
-//! [`JobSpec`]s; a hand-rolled work-stealing [`pool`] over `std::thread`
-//! executes them with per-job seeded determinism; and the [`store`]
+//! [`JobSpec`]s; a minimal [`pool`] over `std::thread` (one shared job
+//! cursor) executes them with per-job seeded determinism; and the [`store`]
 //! streams one JSON line per finished job before aggregating everything
 //! into a schema-tagged `BENCH_sweep.json` (DESIGN.md §5 artifact
 //! pattern, §7–§8 for this subsystem).

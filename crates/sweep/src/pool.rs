@@ -1,26 +1,22 @@
-//! A hand-rolled work-stealing thread pool over `std::thread`.
+//! A minimal thread pool over `std::thread::scope`.
 //!
-//! The environment is offline (no rayon/crossbeam), and the workload —
-//! tens of multi-second simulation jobs — doesn't need lock-free deques:
-//! a `Mutex<VecDeque>` per worker is locked a handful of times per
-//! *second*, not per microsecond. What matters here is the scheduling
-//! shape: each worker owns a queue seeded round-robin, pops its own work
-//! from the front, and steals from the *back* of a victim's queue when it
-//! runs dry, so long-running jobs at the back of one queue migrate to
-//! idle workers instead of serializing the tail of the sweep.
+//! The workload is tens of independent, multi-second simulation jobs, so
+//! scheduling cost is noise and the pool needs no queues at all: workers
+//! share one atomic job cursor and each `fetch_add` hands out the next
+//! index. Every index is claimed exactly once, nothing is locked, and a
+//! worker that finishes early simply claims the next job, so a slow job
+//! never holds up the rest of the sweep.
 //!
 //! Determinism: jobs are pure functions of their [`JobSpec`] and results
-//! are returned indexed by job id, so worker count and steal order affect
+//! are returned indexed by job id, so worker count and claim order affect
 //! wall time only, never the result vector. The cross-thread determinism
 //! test in `tests/determinism.rs` pins this.
 //!
 //! [`JobSpec`]: crate::grid::JobSpec
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-use ups_race::sync::atomic::{AtomicU64, Ordering};
-use ups_race::sync::Mutex;
 
 /// One worker's accounting after (or during) a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,11 +27,6 @@ pub struct WorkerStats {
     pub jobs: u64,
     /// Wall nanoseconds spent inside job closures.
     pub busy_ns: u64,
-    /// Jobs this worker stole from another worker's queue.
-    pub steals: u64,
-    /// Jobs stolen *from* this worker's queue — the victim side, so a
-    /// skewed deal shows up on the row that was overloaded.
-    pub stolen_from: u64,
 }
 
 /// Aggregate pool accounting for the sweep report.
@@ -45,9 +36,6 @@ pub struct PoolStats {
     pub workers: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Jobs that ran on a worker other than the one they were dealt to
-    /// (equals both the sum of per-worker `steals` and of `stolen_from`).
-    pub steals: u64,
     /// Per-worker rows, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
 }
@@ -67,15 +55,13 @@ pub fn effective_workers(requested: usize, jobs: usize) -> usize {
 /// lower bound even though cells are read without synchronization.
 #[derive(Debug)]
 pub struct PoolTelemetry {
-    cells: Vec<[AtomicU64; 4]>, // [jobs, busy_ns, steals, stolen_from]
+    cells: Vec<[AtomicU64; 2]>, // [jobs, busy_ns]
     done: AtomicU64,
 }
 
 impl PoolTelemetry {
     const JOBS: usize = 0;
     const BUSY_NS: usize = 1;
-    const STEALS: usize = 2;
-    const STOLEN_FROM: usize = 3;
 
     /// Telemetry for a pool of exactly `workers` threads (use
     /// [`effective_workers`] to match what the pool will spawn).
@@ -111,8 +97,6 @@ impl PoolTelemetry {
                 worker,
                 jobs: c[Self::JOBS].load(Ordering::Relaxed),
                 busy_ns: c[Self::BUSY_NS].load(Ordering::Relaxed),
-                steals: c[Self::STEALS].load(Ordering::Relaxed),
-                stolen_from: c[Self::STOLEN_FROM].load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -210,65 +194,42 @@ where
             &internal
         }
     };
-    // Deal jobs round-robin so every queue starts with a similar mix.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..jobs.len()).step_by(workers).collect()))
-        .collect();
-
+    // The only shared scheduling state: the next unclaimed job index.
+    // `Relaxed` suffices — the cursor orders nothing else, and results
+    // travel back to this thread through `join`.
+    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<R, String>>> =
         std::iter::repeat_with(|| None).take(jobs.len()).collect();
-    ups_race::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let queues = &queues;
-                let f = &f;
+                let (cursor, f) = (&cursor, &f);
                 scope.spawn(move || {
                     let mut done: Vec<(usize, Result<R, String>)> = Vec::new();
                     loop {
-                        // Own queue first (front: dealt order)...
-                        let next = queues[w].lock().expect("queue poisoned").pop_front();
-                        // ...then steal from the back of the first
-                        // non-empty victim. No new jobs are ever produced,
-                        // so "every queue empty" is a stable exit.
-                        let next = next.or_else(|| {
-                            (1..workers).find_map(|off| {
-                                let victim = (w + off) % workers;
-                                let got = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if got.is_some() {
-                                    // Attribute both sides: the thief's
-                                    // `steals` and the victim's
-                                    // `stolen_from`.
-                                    tel.add(w, PoolTelemetry::STEALS, 1);
-                                    tel.add(victim, PoolTelemetry::STOLEN_FROM, 1);
-                                }
-                                got
-                            })
-                        });
-                        match next {
-                            Some(i) => {
-                                // Catch per job: a panicking scenario must
-                                // surface as *its own* failure, not as the
-                                // collector's "job never executed".
-                                // lint:allow(wall-clock): worker busy-time
-                                // telemetry only; jobs never read it.
-                                let t0 = Instant::now();
-                                let r =
-                                    std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i])))
-                                        .map_err(|payload| panic_message(payload.as_ref()));
-                                tel.add(w, PoolTelemetry::BUSY_NS, t0.elapsed().as_nanos() as u64);
-                                tel.add(w, PoolTelemetry::JOBS, 1);
-                                tel.done.fetch_add(1, Ordering::Relaxed);
-                                done.push((i, r));
-                            }
-                            None => return done,
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs.len() {
+                            return done;
                         }
+                        // Catch per job: a panicking scenario must surface
+                        // as *its own* failure, not as the collector's
+                        // "job never executed".
+                        // lint:allow(wall-clock): worker busy-time
+                        // telemetry only; jobs never read it.
+                        let t0 = Instant::now();
+                        let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i])))
+                            .map_err(|payload| panic_message(payload.as_ref()));
+                        tel.add(w, PoolTelemetry::BUSY_NS, t0.elapsed().as_nanos() as u64);
+                        tel.add(w, PoolTelemetry::JOBS, 1);
+                        tel.done.fetch_add(1, Ordering::Relaxed);
+                        done.push((i, r));
                     }
                 })
             })
             .collect();
         for h in handles {
             for (i, r) in h.join().expect("sweep worker panicked outside a job") {
-                debug_assert!(slots[i].is_none(), "job {i} executed twice");
+                assert!(slots[i].is_none(), "job {i} executed twice");
                 slots[i] = Some(r);
             }
         }
@@ -288,7 +249,6 @@ where
     let stats = PoolStats {
         workers,
         jobs: jobs.len(),
-        steals: per_worker.iter().map(|ws| ws.steals).sum(),
         per_worker,
     };
     (results, stats)
@@ -315,30 +275,57 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let count = AtomicUsize::new(0);
         let jobs: Vec<usize> = (0..500).collect();
-        let (out, _) = run_jobs(&jobs, 4, |_, &j| {
-            count.fetch_add(1, Ordering::Relaxed);
-            j
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 500);
-        assert_eq!(out.len(), 500);
+        for workers in [1, 2, 3, 8] {
+            let runs: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+            let (out, stats) = run_jobs(&jobs, workers, |i, &j| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                j
+            });
+            for (i, n) in runs.iter().enumerate() {
+                assert_eq!(n.load(Ordering::Relaxed), 1, "job {i} on {workers} workers");
+            }
+            assert_eq!(out, jobs);
+            let ran: u64 = stats.per_worker.iter().map(|w| w.jobs).sum();
+            assert_eq!(ran, 500);
+        }
     }
 
     #[test]
-    fn stealing_rebalances_a_skewed_queue() {
-        // Worker 0's dealt share (jobs 0, 2, 4, ...) is made slow; with 2
-        // workers the fast worker must steal some of it.
+    fn an_idle_worker_takes_every_job_a_slow_one_leaves() {
+        // Job 0 is claimed first and cannot finish until the other 39
+        // have, so whichever worker holds it runs nothing else: the
+        // other worker must claim all 39. No sleeps, no timing bounds;
+        // the deadline only turns a hang into a failure.
+        let finished = AtomicUsize::new(0);
         let jobs: Vec<usize> = (0..40).collect();
-        let (_, stats) = run_jobs(&jobs, 2, |i, _| {
-            if i % 2 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(3));
-            }
-        });
-        assert_eq!(stats.workers, 2);
-        // Not asserting an exact count (timing-dependent) — only that the
-        // mechanism exists and fired under a 60 ms imbalance.
-        assert!(stats.steals > 0, "no steals under skewed load");
+        let tel = PoolTelemetry::new(effective_workers(2, jobs.len()));
+        let (_, stats) = run_jobs_telemetry(
+            &jobs,
+            2,
+            Some(&tel),
+            |i, _| format!("job {i}"),
+            |i, _| {
+                if i > 0 {
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                let deadline = Instant::now() + std::time::Duration::from_secs(60);
+                while finished.load(Ordering::Relaxed) < 39 {
+                    assert!(Instant::now() < deadline, "job 0 starved: the pool stalled");
+                    std::thread::yield_now();
+                }
+            },
+        );
+        let mut per_worker: Vec<u64> = stats.per_worker.iter().map(|w| w.jobs).collect();
+        per_worker.sort_unstable();
+        assert_eq!(per_worker, vec![1, 39]);
+        assert_eq!(per_worker.iter().sum::<u64>(), tel.done());
+        assert_eq!(tel.done(), 40);
+        assert!(
+            stats.per_worker.iter().any(|w| w.busy_ns > 0),
+            "the spinning job must accrue busy time"
+        );
     }
 
     #[test]
@@ -398,10 +385,7 @@ mod tests {
         // Audit of the panic path: every accounting update (per-worker
         // jobs/busy_ns and the global done counter) happens *after* the
         // catch_unwind, so a panicking job is billed like any other and
-        // Σ per-worker jobs == done == dealt must survive a panic. The
-        // ups-race model pins the same invariant on small configs
-        // (fixtures::check_pool with panic_job); this is the full-size
-        // production-pool regression test.
+        // Σ per-worker jobs == done == jobs must survive a panic.
         let jobs: Vec<usize> = (0..30).collect();
         let tel = PoolTelemetry::new(effective_workers(3, jobs.len()));
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -428,41 +412,6 @@ mod tests {
             "panicking job must still count in its worker row"
         );
         assert_eq!(tel.done(), 30, "panicking job must still count in done");
-        let steals: u64 = rows.iter().map(|w| w.steals).sum();
-        let stolen: u64 = rows.iter().map(|w| w.stolen_from).sum();
-        assert_eq!(steals, stolen, "steal attribution must survive a panic");
-    }
-
-    #[test]
-    fn per_worker_rows_attribute_steals_to_both_sides() {
-        // Same skew as above: worker 0's dealt share is slow, worker 1
-        // must steal from it. Every steal must show up twice — on the
-        // thief's `steals` row and the victim's `stolen_from` row.
-        let jobs: Vec<usize> = (0..40).collect();
-        let tel = PoolTelemetry::new(effective_workers(2, jobs.len()));
-        let (_, stats) = run_jobs_telemetry(
-            &jobs,
-            2,
-            Some(&tel),
-            |i, _| format!("job {i}"),
-            |i, _| {
-                if i % 2 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(3));
-                }
-            },
-        );
-        assert_eq!(stats.per_worker.len(), 2);
-        assert!(stats.steals > 0, "no steals under skewed load");
-        let stolen: u64 = stats.per_worker.iter().map(|w| w.stolen_from).sum();
-        let steals: u64 = stats.per_worker.iter().map(|w| w.steals).sum();
-        assert_eq!(steals, stats.steals, "thief-side attribution");
-        assert_eq!(stolen, stats.steals, "victim-side attribution");
-        assert_eq!(stats.per_worker.iter().map(|w| w.jobs).sum::<u64>(), 40);
-        assert_eq!(tel.done(), 40);
-        assert!(
-            stats.per_worker.iter().any(|w| w.busy_ns > 0),
-            "sleeping jobs must accrue busy time"
-        );
     }
 
     #[test]

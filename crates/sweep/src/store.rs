@@ -6,7 +6,7 @@
 //!   appended the moment the job finishes on whichever worker ran it
 //!   (completion order, so the stream doubles as a progress log), and
 //! * the **aggregate `BENCH_sweep.json`** — schema tag, the grid that
-//!   generated the sweep, pool accounting (workers, steals, jobs/sec) and
+//!   generated the sweep, pool accounting (workers, jobs/sec) and
 //!   every record sorted by job id.
 //!
 //! [`validate_bench_sweep`] loads an aggregate back through the minimal
@@ -15,7 +15,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use ups_race::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::grid::ScenarioGrid;
 use crate::json::{parse, JsonValue};
@@ -23,17 +23,18 @@ use crate::pool::PoolStats;
 use crate::runner::JobRecord;
 
 /// Schema tag of the aggregate artifact this build writes.
-pub const SWEEP_SCHEMA: &str = "ups-sweep/v4";
+pub const SWEEP_SCHEMA: &str = "ups-sweep/v5";
 
 /// Aggregate schema tags [`validate_bench_sweep`] accepts (v1 artifacts
 /// predate the traffic-mode axis and the transport block; v2 predates
 /// the finite-priority-queue axis; v3 predates the failure axis and the
-/// disruption block).
-pub const ACCEPTED_SWEEP_SCHEMAS: [&str; 4] = [
+/// disruption block; v4 still carries the retired pool `steals` count).
+pub const ACCEPTED_SWEEP_SCHEMAS: [&str; 5] = [
     "ups-sweep/v1",
     "ups-sweep/v2",
     "ups-sweep/v3",
     "ups-sweep/v4",
+    "ups-sweep/v5",
 ];
 
 /// Schema tag of the quantized-replay bench artifact
@@ -82,10 +83,7 @@ impl ResultStream {
     /// the pool, and later jobs must surface the *real* I/O error, not
     /// a cascade of "stream poisoned".
     pub fn append(&self, record: &JobRecord) {
-        let mut out = self
-            .out
-            .lock()
-            .unwrap_or_else(ups_race::sync::PoisonError::into_inner);
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         writeln!(out, "{}", record.to_json(true)).expect("write JSONL record");
         out.flush().expect("flush JSONL record");
     }
@@ -98,7 +96,7 @@ impl ResultStream {
 
 /// Render the aggregate artifact. Records are sorted by job id (the
 /// caller hands them in pool order, which is already job order).
-// lint:schema(ups-sweep/v4)
+// lint:schema(ups-sweep/v5)
 pub fn bench_sweep_json(
     grid: &ScenarioGrid,
     records: &[JobRecord],
@@ -122,7 +120,6 @@ pub fn bench_sweep_json(
             "  \"schema\": \"{}\",\n",
             "  \"grid\": {},\n",
             "  \"workers\": {},\n",
-            "  \"steals\": {},\n",
             "  \"jobs\": {},\n",
             "  \"wall_s\": {},\n",
             "  \"jobs_per_sec\": {},\n",
@@ -132,7 +129,6 @@ pub fn bench_sweep_json(
         SWEEP_SCHEMA,
         grid.to_json(),
         stats.workers,
-        stats.steals,
         records.len(),
         ups_metrics::json_num(wall_s),
         ups_metrics::json_num(jobs_per_sec),
@@ -153,9 +149,8 @@ pub struct SweepDigest {
 }
 
 /// Validate a `BENCH_sweep.json` document against its schema.
-/// `ups-sweep/v1` (pre-traffic-axis), `/v2` (pre-queues-axis) and `/v3`
-/// artifacts all validate; each record line is checked against its own
-/// `ups-sweep-record/v{1,2,3}` tag. Every failure is a `Result::Err`
+/// Every tag in [`ACCEPTED_SWEEP_SCHEMAS`] validates; each record line is
+/// checked against its own `ups-sweep-record/v{1..5}` tag. Every failure is a `Result::Err`
 /// naming the offending field — never a panic — so `sweep --check` can
 /// print a usable diagnosis.
 pub fn validate_bench_sweep(doc: &str) -> Result<SweepDigest, String> {
@@ -864,7 +859,6 @@ pub fn validate_obs_timeseries(doc: &str) -> Result<TimeSeriesDigest, String> {
     if workers < 1.0 {
         return Err(format!("workers {workers} must be ≥ 1"));
     }
-    num("steals")?;
     let wall_s = num("wall_s")?;
     if wall_s < 0.0 {
         return Err(format!("wall_s {wall_s} must be ≥ 0"));
@@ -923,14 +917,7 @@ pub fn validate_obs_timeseries(doc: &str) -> Result<TimeSeriesDigest, String> {
             ));
         }
         for (w, row) in rows.iter().enumerate() {
-            for name in [
-                "worker",
-                "jobs",
-                "busy_s",
-                "utilization",
-                "steals",
-                "stolen_from",
-            ] {
+            for name in ["worker", "jobs", "busy_s", "utilization"] {
                 if row.get(name).and_then(JsonValue::as_f64).is_none() {
                     return Err(format!("tick {i} worker {w}: {name} missing"));
                 }
@@ -1303,11 +1290,10 @@ mod tests {
         }
     }
 
-    fn pool_stats(workers: usize, jobs: usize, steals: u64) -> PoolStats {
+    fn pool_stats(workers: usize, jobs: usize) -> PoolStats {
         PoolStats {
             workers,
             jobs,
-            steals,
             per_worker: Vec::new(),
         }
     }
@@ -1315,7 +1301,7 @@ mod tests {
     #[test]
     fn aggregate_validates_and_digest_matches() {
         let records = [record(0), record(1)];
-        let stats = pool_stats(4, 2, 1);
+        let stats = pool_stats(4, 2);
         let doc = bench_sweep_json(&grid(), &records, &stats, 2.0);
         let digest = validate_bench_sweep(&doc).expect("valid artifact");
         assert_eq!(
@@ -1332,7 +1318,7 @@ mod tests {
     fn aggregate_sorts_records_by_job_id() {
         // Hand the records in completion order; the artifact must not care.
         let records = [record(1), record(0)];
-        let stats = pool_stats(1, 2, 0);
+        let stats = pool_stats(1, 2);
         let doc = bench_sweep_json(&grid(), &records, &stats, 1.0);
         validate_bench_sweep(&doc).expect("sorted despite unsorted input");
     }
@@ -1340,7 +1326,7 @@ mod tests {
     #[test]
     fn validation_rejects_broken_artifacts() {
         let records = [record(0)];
-        let stats = pool_stats(1, 1, 0);
+        let stats = pool_stats(1, 1);
         let good = bench_sweep_json(&grid(), &records, &stats, 1.0);
         assert!(validate_bench_sweep("not json").is_err());
         assert!(validate_bench_sweep("{}").is_err());
@@ -1369,7 +1355,7 @@ mod tests {
     #[test]
     fn v1_through_v5_artifacts_all_validate() {
         // A current artifact with open-loop, closed-loop, quantized and
-        // failure records (v5 record lines inside the v4 aggregate —
+        // failure records (v5 record lines inside the v5 aggregate —
         // each line is validated against its own tag).
         let records = [
             record(0),
@@ -1377,22 +1363,22 @@ mod tests {
             quantized_record(2),
             failure_record(3),
         ];
-        let stats = pool_stats(1, 4, 0);
-        let v4_doc = bench_sweep_json(&grid(), &records, &stats, 1.0);
-        validate_bench_sweep(&v4_doc).expect("current artifact validates");
+        let stats = pool_stats(1, 4);
+        let current_doc = bench_sweep_json(&grid(), &records, &stats, 1.0);
+        validate_bench_sweep(&current_doc).expect("current artifact validates");
         // The forensics conservation law: inflating one cause count
         // breaks Σ causes == mismatches and must be rejected.
-        let unconserved = v4_doc.replace(r#""overdue_within_t":6"#, r#""overdue_within_t":7"#);
+        let unconserved = current_doc.replace(r#""overdue_within_t":6"#, r#""overdue_within_t":7"#);
         assert!(validate_bench_sweep(&unconserved)
             .unwrap_err()
             .contains("not conserved"));
         // ...and so does inflating an inversion count.
-        let unconserved = v4_doc.replace(r#""bucket_collision":7"#, r#""bucket_collision":8"#);
+        let unconserved = current_doc.replace(r#""bucket_collision":7"#, r#""bucket_collision":8"#);
         assert!(validate_bench_sweep(&unconserved)
             .unwrap_err()
             .contains("not conserved"));
         // A divergence block without its own schema tag is rejected.
-        let untagged = v4_doc.replace(
+        let untagged = current_doc.replace(
             r#""divergence":{"schema":"ups-forensics/v1","#,
             r#""divergence":{"#,
         );
@@ -1400,7 +1386,7 @@ mod tests {
             .unwrap_err()
             .contains("schema tag"));
         // queues and mapper must travel together.
-        let torn = v4_doc.replace(
+        let torn = current_doc.replace(
             r#""queues":8,"mapper":"dynamic""#,
             r#""queues":8,"mapper":null"#,
         );
@@ -1408,7 +1394,7 @@ mod tests {
             .unwrap_err()
             .contains("set together"));
         // Quantized metrics without the axis are inconsistent.
-        let orphan = v4_doc.replace(
+        let orphan = current_doc.replace(
             r#""quantized_match_rate":null"#,
             r#""quantized_match_rate":0.5"#,
         );
@@ -1416,7 +1402,7 @@ mod tests {
             .unwrap_err()
             .contains("no queues axis"));
         // failures and inflight must travel together.
-        let torn = v4_doc.replace(
+        let torn = current_doc.replace(
             r#""failures":"random-links:0.4","inflight":"reroute""#,
             r#""failures":"random-links:0.4","inflight":null"#,
         );
@@ -1424,7 +1410,7 @@ mod tests {
             .unwrap_err()
             .contains("inflight"));
         // A failure record must carry its disruption block...
-        let gone = v4_doc.replace(
+        let gone = current_doc.replace(
             r#""disruption":{"links_failed":3,"rerouted":42,"dropped_at_dead_link":5,"churn_replay_match_rate":0.87}"#,
             r#""disruption":null"#,
         );
@@ -1432,7 +1418,7 @@ mod tests {
             .unwrap_err()
             .contains("disruption"));
         // ...and a static record must not.
-        let sprouted = v4_doc.replacen(
+        let sprouted = current_doc.replacen(
             r#""disruption":null"#,
             r#""disruption":{"links_failed":1,"rerouted":0,"dropped_at_dead_link":0,"churn_replay_match_rate":null}"#,
             1,
@@ -1673,7 +1659,7 @@ mod tests {
     fn closed_loop_record_requires_a_transport_block() {
         let mut r = closed_record(0);
         r.summary.transport = None;
-        let stats = pool_stats(1, 1, 0);
+        let stats = pool_stats(1, 1);
         let doc = bench_sweep_json(&grid(), &[r], &stats, 1.0);
         let err = validate_bench_sweep(&doc).unwrap_err();
         assert!(err.contains("transport"), "bad error: {err}");
@@ -1782,21 +1768,20 @@ mod tests {
     }
 
     const TIMESERIES_DOC: &str = r#"{
-  "schema": "ups-obs-timeseries/v1",
+  "schema": "ups-obs-timeseries/v2",
   "workers": 2,
-  "steals": 3,
   "wall_s": 1.25,
   "heartbeats": [
-    {"schema": "ups-obs-heartbeat/v1", "t_s": 0.5, "done": 4, "total": 8,
+    {"schema": "ups-obs-heartbeat/v2", "t_s": 0.5, "done": 4, "total": 8,
      "jobs_per_sec": 8.0, "eta_s": 0.5,
      "workers": [
-       {"worker": 0, "jobs": 2, "busy_s": 0.4, "utilization": 0.8, "steals": 1, "stolen_from": 0},
-       {"worker": 1, "jobs": 2, "busy_s": 0.3, "utilization": 0.6, "steals": 0, "stolen_from": 1}]},
-    {"schema": "ups-obs-heartbeat/v1", "t_s": 1.25, "done": 8, "total": 8,
+       {"worker": 0, "jobs": 2, "busy_s": 0.4, "utilization": 0.8},
+       {"worker": 1, "jobs": 2, "busy_s": 0.3, "utilization": 0.6}]},
+    {"schema": "ups-obs-heartbeat/v2", "t_s": 1.25, "done": 8, "total": 8,
      "jobs_per_sec": 6.4, "eta_s": 0.0,
      "workers": [
-       {"worker": 0, "jobs": 5, "busy_s": 1.1, "utilization": 0.88, "steals": 3, "stolen_from": 0},
-       {"worker": 1, "jobs": 3, "busy_s": 0.9, "utilization": 0.72, "steals": 0, "stolen_from": 3}]}
+       {"worker": 0, "jobs": 5, "busy_s": 1.1, "utilization": 0.88},
+       {"worker": 1, "jobs": 3, "busy_s": 0.9, "utilization": 0.72}]}
   ]
 }"#;
 
@@ -1813,7 +1798,7 @@ mod tests {
             }
         );
         assert!(validate_obs_timeseries("{}").is_err());
-        let wrong = TIMESERIES_DOC.replace("ups-obs-timeseries/v1", "ups-sweep/v4");
+        let wrong = TIMESERIES_DOC.replace("ups-obs-timeseries/v2", "ups-sweep/v5");
         assert!(validate_obs_timeseries(&wrong)
             .unwrap_err()
             .contains("schema"));
@@ -1835,8 +1820,8 @@ mod tests {
             .unwrap_err()
             .contains("worker rows"));
         // The heartbeat thread guarantees at least the completion tick.
-        let empty = r#"{"schema": "ups-obs-timeseries/v1", "workers": 1,
-                        "steals": 0, "wall_s": 0.0, "heartbeats": []}"#;
+        let empty = r#"{"schema": "ups-obs-timeseries/v2", "workers": 1,
+                        "wall_s": 0.0, "heartbeats": []}"#;
         assert!(validate_obs_timeseries(empty)
             .unwrap_err()
             .contains("completion tick"));

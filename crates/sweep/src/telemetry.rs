@@ -3,7 +3,7 @@
 //! [`ups_obs::HeartbeatRecord`]s — a throttled stderr progress line
 //! (done/total, jobs/sec, ETA), an optional `*.heartbeat.jsonl` stream,
 //! and the tick history behind the run-level
-//! `ups-obs-timeseries/v1` artifact.
+//! `ups-obs-timeseries/v2` artifact.
 //!
 //! The heartbeat only ever *reads* relaxed counters; it cannot perturb
 //! job results (jobs are pure functions of their specs) and is therefore
@@ -12,9 +12,10 @@
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use ups_race::sync::atomic::{AtomicBool, Ordering};
 
 use ups_obs::{HeartbeatRecord, WorkerRow};
 
@@ -53,8 +54,6 @@ fn record_now(tel: &PoolTelemetry, total: u64, t0: Instant) -> HeartbeatRecord {
                 jobs: w.jobs,
                 busy_s,
                 utilization: if t_s > 0.0 { busy_s / t_s } else { 0.0 },
-                steals: w.steals,
-                stolen_from: w.stolen_from,
             }
         })
         .collect();
@@ -85,22 +84,23 @@ fn progress_line(r: &HeartbeatRecord) {
 /// than one interval yields a non-empty record history.
 pub struct Heartbeat {
     stop: Arc<AtomicBool>,
-    handle: ups_race::thread::JoinHandle<Vec<HeartbeatRecord>>,
+    handle: JoinHandle<Vec<HeartbeatRecord>>,
 }
 
 impl Heartbeat {
-    /// Spawn the heartbeat over `telemetry`.
-    ///
-    /// # Panics
-    /// If `config.jsonl` names a file that cannot be created.
-    pub fn start(telemetry: Arc<PoolTelemetry>, config: HeartbeatConfig) -> Heartbeat {
-        let mut jsonl = config
-            .jsonl
-            .as_ref()
-            .map(|p| BufWriter::new(File::create(p).expect("create heartbeat jsonl")));
+    /// Spawn the heartbeat over `telemetry`. Fails, before any thread
+    /// starts, if `config.jsonl` names a file that cannot be created.
+    pub fn start(
+        telemetry: Arc<PoolTelemetry>,
+        config: HeartbeatConfig,
+    ) -> std::io::Result<Heartbeat> {
+        let mut jsonl = match &config.jsonl {
+            Some(p) => Some(BufWriter::new(File::create(p)?)),
+            None => None,
+        };
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let handle = ups_race::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             // lint:allow(wall-clock): heartbeat clock; see record_now.
             let t0 = Instant::now();
             let mut records = Vec::new();
@@ -116,7 +116,7 @@ impl Heartbeat {
                 records.push(r);
             };
             while !stop_flag.load(Ordering::Relaxed) {
-                ups_race::thread::park_timeout(config.interval);
+                std::thread::park_timeout(config.interval);
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
@@ -127,7 +127,7 @@ impl Heartbeat {
             emit(&mut records, &mut jsonl);
             records
         });
-        Heartbeat { stop, handle }
+        Ok(Heartbeat { stop, handle })
     }
 
     /// Stop the thread and return every tick recorded (at least one).
@@ -153,7 +153,8 @@ mod tests {
                 progress: false,
                 jsonl: None,
             },
-        );
+        )
+        .expect("no file to create");
         let records = hb.finish();
         assert_eq!(records.len(), 1, "completion tick must always fire");
         assert_eq!(records[0].total, 4);
@@ -174,7 +175,8 @@ mod tests {
                 progress: false,
                 jsonl: Some(path.clone()),
             },
-        );
+        )
+        .expect("create heartbeat jsonl");
         std::thread::sleep(Duration::from_millis(30));
         let records = hb.finish();
         assert!(!records.is_empty());
@@ -189,5 +191,26 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heartbeat_reports_an_uncreatable_jsonl_path() {
+        let path = std::env::temp_dir()
+            .join(format!("ups-obs-hb-missing-{}", std::process::id()))
+            .join("no-such-dir")
+            .join("t.heartbeat.jsonl");
+        let started = Heartbeat::start(
+            Arc::new(PoolTelemetry::new(1)),
+            HeartbeatConfig {
+                total: 1,
+                interval: Duration::from_secs(3600),
+                progress: false,
+                jsonl: Some(path),
+            },
+        );
+        assert!(
+            started.is_err(),
+            "a path under a missing directory must fail"
+        );
     }
 }

@@ -19,8 +19,6 @@ fn worker_back(v: &JsonValue) -> WorkerRow {
         jobs: num("jobs") as u64,
         busy_s: num("busy_s"),
         utilization: num("utilization"),
-        steals: num("steals") as u64,
-        stolen_from: num("stolen_from") as u64,
     }
 }
 
@@ -61,16 +59,12 @@ fn heartbeat_record_round_trips_through_the_parser() {
                 jobs: 20,
                 busy_s: 1.75,
                 utilization: 0.875,
-                steals: 4,
-                stolen_from: 0,
             },
             WorkerRow {
                 worker: 1,
                 jobs: 17,
                 busy_s: 1.5,
                 utilization: 0.75,
-                steals: 0,
-                stolen_from: 4,
             },
         ],
     };
@@ -96,7 +90,8 @@ fn live_sweep_timeseries_document_validates() {
             progress: false,
             jsonl: None,
         },
-    );
+    )
+    .expect("no file to create");
     let (results, stats) = pool::run_jobs_telemetry(
         &jobs,
         3,
@@ -112,7 +107,7 @@ fn live_sweep_timeseries_document_validates() {
     assert!(!ticks.is_empty());
     assert_eq!(ticks.last().unwrap().done, jobs.len() as u64);
 
-    let doc = ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, stats.steals, 0.05);
+    let doc = ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, 0.05);
     let digest = validate_obs_timeseries(&doc).expect("live telemetry document validates");
     assert_eq!(digest.workers as usize, stats.workers);
     assert_eq!(digest.jobs, jobs.len() as u64);

@@ -10,6 +10,10 @@
 //! The lock may be a *superset* of any one artifact: optional fields
 //! (`disruption`, `eta_s`, quantized metrics) appear only under some
 //! scenarios.
+//!
+//! A committed artifact may also predate its emitter's latest tag bump.
+//! [`RETIRED_TAGS`] states exactly which keys such a tag carries beyond
+//! its successor's surface, so the check stays key-exact for it too.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -26,6 +30,15 @@ fn repo_root() -> PathBuf {
         .expect("workspace root")
         .to_path_buf()
 }
+
+/// Tags no emitter writes any more but a committed artifact still
+/// carries: `(retired tag, the tag that replaced it, keys the retired
+/// tag has beyond its successor's locked surface)`. The validator keeps
+/// accepting each one (`ups_sweep::ACCEPTED_SWEEP_SCHEMAS`).
+const RETIRED_TAGS: &[(&str, &str, &[&str])] = &[
+    // v5 dropped the work-stealing pool's steal count.
+    ("ups-sweep/v4", "ups-sweep/v5", &["steals"]),
+];
 
 fn lock() -> SurfaceMap {
     let text = fs::read_to_string(repo_root().join("SCHEMAS.lock"))
@@ -48,10 +61,15 @@ fn assert_covered(artifact: &str, tags: &[&str]) {
     let lock = lock();
     let mut allowed: BTreeSet<&str> = BTreeSet::new();
     for tag in tags {
+        let (tag, extra): (&str, &[&str]) = RETIRED_TAGS
+            .iter()
+            .find(|(retired, _, _)| retired == tag)
+            .map_or((*tag, &[]), |&(_, successor, extra)| (successor, extra));
         let surface = lock
-            .get(*tag)
+            .get(tag)
             .unwrap_or_else(|| panic!("{tag} missing from SCHEMAS.lock"));
         allowed.extend(surface.iter().map(String::as_str));
+        allowed.extend(extra);
     }
     let missing: Vec<String> = artifact_keys(artifact)
         .into_iter()
@@ -67,12 +85,19 @@ fn assert_covered(artifact: &str, tags: &[&str]) {
 
 #[test]
 fn sweep_artifact_is_covered_by_the_lock() {
-    // The envelope (ups-sweep/v4) embeds one record line per job
-    // (ups-sweep-record/v5), each of which may embed a forensics block
-    // (ups-forensics/v1), so the artifact's keys live in the union.
+    // The envelope (whatever ups-sweep/vN the committed artifact
+    // declares) embeds one record line per job (ups-sweep-record/v5),
+    // each of which may embed a forensics block (ups-forensics/v1), so
+    // the artifact's keys live in the union.
+    let text = fs::read_to_string(repo_root().join("BENCH_sweep.json")).expect("committed");
+    let doc = ups_sweep::json::parse(&text).expect("BENCH_sweep.json parses");
+    let envelope = doc
+        .get("schema")
+        .and_then(|s| s.as_str())
+        .expect("envelope schema tag");
     assert_covered(
         "BENCH_sweep.json",
-        &["ups-sweep/v4", "ups-sweep-record/v5", "ups-forensics/v1"],
+        &[envelope, "ups-sweep-record/v5", "ups-forensics/v1"],
     );
 }
 
@@ -120,7 +145,7 @@ fn every_artifact_schema_tag_is_locked() {
             };
             found += 1;
             assert!(
-                lock.contains_key(tag),
+                lock.contains_key(tag) || RETIRED_TAGS.iter().any(|(r, _, _)| *r == tag),
                 "{artifact} declares schema {tag:?} which SCHEMAS.lock does not cover"
             );
         }
@@ -134,12 +159,11 @@ fn validator_required_fields_are_locked() {
     // name; each must be part of the locked emitter surface, or the
     // validator would reject what the emitters produce.
     let lock = lock();
-    let envelope = &lock["ups-sweep/v4"];
+    let envelope = &lock["ups-sweep/v5"];
     for field in [
         "schema",
         "grid",
         "workers",
-        "steals",
         "jobs",
         "wall_s",
         "jobs_per_sec",
@@ -147,7 +171,7 @@ fn validator_required_fields_are_locked() {
     ] {
         assert!(
             envelope.contains(field),
-            "ups-sweep/v4 lock misses required field {field}"
+            "ups-sweep/v5 lock misses required field {field}"
         );
     }
     let record = &lock["ups-sweep-record/v5"];

@@ -22,7 +22,7 @@
 //! | [`forensics`] | replay-divergence attribution: mismatch taxonomy, per-hop blame, inversion classes |
 //! | [`metrics`] | CDFs, Jain index, FCT buckets, run summaries, table rendering |
 //! | [`obs`] | zero-cost-when-off probes, phase timers, time-series, Perfetto export |
-//! | [`sweep`] | parallel scenario-sweep engine: grids, work-stealing pool, result store |
+//! | [`sweep`] | parallel scenario-sweep engine: grids, shared-cursor job pool, result store |
 //! | [`lint`] | workspace determinism & schema-drift static analysis (`ups-lint`) |
 //!
 //! ## Quickstart
@@ -68,7 +68,6 @@ pub use ups_lint as lint;
 pub use ups_metrics as metrics;
 pub use ups_netsim as netsim;
 pub use ups_obs as obs;
-pub use ups_race as race;
 pub use ups_sweep as sweep;
 pub use ups_topology as topology;
 pub use ups_transport as transport;
