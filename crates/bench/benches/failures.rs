@@ -48,7 +48,6 @@ struct Row {
     report: ReplayReport,
 }
 
-// lint:schema(ups-bench-failures/v1)
 fn json_row(r: &Row, bit_identical: bool) -> String {
     let tail = if r.rate == 0.0 {
         format!(", \"bit_identical_to_static_routing\": {bit_identical}")
@@ -73,7 +72,6 @@ fn json_row(r: &Row, bit_identical: bool) -> String {
     )
 }
 
-// lint:schema(ups-bench-failures/v1)
 fn main() {
     let min_packets = env_u64("UPS_FAIL_MIN_PACKETS", 20_000) as usize;
     let (topo, train) = fattree_throughput_workload(UTILIZATION, min_packets, SEED);

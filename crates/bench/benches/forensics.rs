@@ -68,7 +68,6 @@ fn conserved(label: &str, row: &Row) {
     );
 }
 
-// lint:schema(ups-bench-divergence/v1)
 fn json_k_row(k: Option<u32>, row: &Row) -> String {
     format!(
         r#"    {{"k": {}, "compared": {}, "match_rate": {:.6}, "divergence": {}}}"#,
@@ -79,7 +78,6 @@ fn json_k_row(k: Option<u32>, row: &Row) -> String {
     )
 }
 
-// lint:schema(ups-bench-divergence/v1)
 fn json_rate_row(rate: f64, row: &Row) -> String {
     format!(
         r#"    {{"rate": {}, "compared": {}, "match_rate": {:.6}, "divergence": {}}}"#,
@@ -90,7 +88,6 @@ fn json_rate_row(rate: f64, row: &Row) -> String {
     )
 }
 
-// lint:schema(ups-bench-divergence/v1)
 fn main() {
     let min_packets = env_u64("UPS_FORENSICS_PACKETS", 30_000) as usize;
     let seed = env_u64("UPS_FORENSICS_SEED", 7);

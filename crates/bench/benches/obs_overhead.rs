@@ -153,11 +153,9 @@ fn measure(topo: &Topology, packets: &[Packet], mode: Mode, runs: u64) -> Measur
     }
 }
 
-// lint:schema(ups-bench-obs/v1)
 fn json_mode(m: &Measurement) -> String {
     // The per-mode key ("uninstrumented"/"probe_off"/"probe_on") is
-    // written literally by the envelope so the schema surface stays
-    // statically extractable; this renders only the value object.
+    // written by the envelope; this renders only the value object.
     let samples = match &m.series {
         Some(s) => format!(", \"samples\": {}", s.rows.len()),
         None => String::new(),
@@ -168,7 +166,6 @@ fn json_mode(m: &Measurement) -> String {
     )
 }
 
-// lint:schema(ups-bench-obs/v1)
 fn main() {
     let min_packets = env_u64("UPS_OBS_MIN_PACKETS", 120_000) as usize;
     let runs = env_u64("UPS_OBS_RUNS", 5).max(1);

@@ -85,7 +85,6 @@ fn replay_through(
     (trace, report, fct)
 }
 
-// lint:schema(ups-bench-quantized/v1)
 fn json_row(r: &Row, bit_identical: bool) -> String {
     let k = match r.k {
         Some(k) => k.to_string(),
@@ -111,7 +110,6 @@ fn json_row(r: &Row, bit_identical: bool) -> String {
     )
 }
 
-// lint:schema(ups-bench-quantized/v1)
 fn main() {
     let min_packets = env_u64("UPS_QUANT_MIN_PACKETS", 20_000) as usize;
     let mapper_name = std::env::var("UPS_QUANT_MAPPER").unwrap_or_else(|_| "sppifo".into());

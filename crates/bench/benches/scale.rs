@@ -141,7 +141,6 @@ fn differential_gate(diff_packets: u64) -> (bool, bool, bool) {
     (records_identical, reports_identical, summaries_identical)
 }
 
-// lint:schema(ups-bench-scale/v1)
 fn main() {
     let packet_floor = env_u64("UPS_SCALE_PACKETS", 5_000_000);
     let min_flows = env_u64("UPS_SCALE_MIN_FLOWS", 10_000);

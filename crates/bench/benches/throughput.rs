@@ -128,7 +128,6 @@ fn measure_current(topo: &ups_topology::Topology, packets: &[Packet], runs: u64)
     }
 }
 
-// lint:schema(ups-bench-throughput/v1)
 fn json_result(m: &Measurement, runs: u64) -> String {
     format!(
         r#"    {{
@@ -150,7 +149,6 @@ fn json_result(m: &Measurement, runs: u64) -> String {
     )
 }
 
-// lint:schema(ups-bench-throughput/v1)
 fn main() {
     let min_packets = env_u64("UPS_TPUT_MIN_PACKETS", 120_000) as usize;
     let runs = env_u64("UPS_TPUT_RUNS", 3).max(1);

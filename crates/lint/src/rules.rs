@@ -89,11 +89,6 @@ pub const RULES: &[RuleInfo] = &[
         desc: "lint:allow that suppressed nothing — stale annotations must not accumulate",
         suppressible: false,
     },
-    RuleInfo {
-        name: "schema-drift",
-        desc: "serialized field surface changed without a schema-tag version bump (--schemas)",
-        suppressible: false,
-    },
 ];
 
 /// Look a rule up by name.
@@ -424,8 +419,7 @@ fn computed_index_sites(code: &str) -> Vec<usize> {
 }
 
 /// Parse every `lint:` directive in the file's comments into allows and
-/// `bad-suppression` findings. `lint:schema(...)` is legal here and
-/// handled by the schema extractor.
+/// `bad-suppression` findings.
 fn parse_allows(
     path: &str,
     scanned: &ScannedFile,
@@ -448,10 +442,9 @@ fn parse_allows(
                 });
             };
             match directive {
-                Directive::Schema { .. } => {} // extracted by crate::schemas
                 Directive::Unknown(word) => {
                     err(format!(
-                        "unknown lint directive `lint:{word}` — expected lint:allow(...) or lint:schema(...)"
+                        "unknown lint directive `lint:{word}` — expected lint:allow(...)"
                     ));
                 }
                 Directive::Allow { args, reason } => {
@@ -500,7 +493,6 @@ fn parse_allows(
 
 pub(crate) enum Directive {
     Allow { args: String, reason: String },
-    Schema { tag: String },
     Unknown(String),
 }
 
@@ -523,12 +515,6 @@ pub(crate) fn lint_directives(text: &str) -> Vec<(usize, Directive)> {
     let word: String = rest.chars().take_while(|c| c.is_alphabetic()).collect();
     let after_word = &rest[word.len()..];
     let directive = match word.as_str() {
-        "schema" if after_word.starts_with('(') => match after_word.find(')') {
-            Some(close) => Directive::Schema {
-                tag: after_word[1..close].trim().to_string(),
-            },
-            None => Directive::Unknown("schema".into()),
-        },
         "allow" if after_word.starts_with('(') => match after_word.find(')') {
             Some(close) => {
                 let args = after_word[1..close].to_string();
@@ -540,7 +526,7 @@ pub(crate) fn lint_directives(text: &str) -> Vec<(usize, Directive)> {
             }
             None => Directive::Unknown("allow".into()),
         },
-        "allow" | "schema" => Directive::Unknown(word),
+        "allow" => Directive::Unknown(word),
         // `lint:verb(...)` with an unknown verb is a typo'd directive,
         // not prose — surfacing it beats silently ignoring it.
         _ if !word.is_empty() && after_word.starts_with('(') => Directive::Unknown(word),

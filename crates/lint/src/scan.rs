@@ -6,8 +6,7 @@
 //! original line numbers). That way a rule searching for `HashMap` or
 //! `Instant` never matches prose in a doc comment or a key inside a JSON
 //! format string. The scanner also keeps what it blanked — comments feed
-//! the `lint:allow` / `lint:schema` / `// SAFETY:` grammar, string
-//! literals feed the schema field-surface extractor.
+//! the `lint:allow` / `// SAFETY:` grammar.
 //!
 //! The grammar subset handled (everything this workspace uses):
 //!
@@ -37,7 +36,7 @@ pub struct StrLit {
     /// Line the opening quote is on.
     pub line: usize,
     /// Content between the delimiters, exactly as written (escape
-    /// sequences are *not* resolved; see [`unescape_quotes`]).
+    /// sequences are *not* resolved).
     pub content: String,
 }
 
@@ -51,31 +50,6 @@ pub struct ScannedFile {
     pub comments: Vec<Comment>,
     /// Every string literal, in source order.
     pub strings: Vec<StrLit>,
-}
-
-/// Resolve just enough escaping to search a literal's content for JSON
-/// keys: `\\` → `\` and `\"` → `"`. Raw strings need neither and contain
-/// neither sequence with escape meaning, so applying this uniformly is
-/// safe for key extraction.
-pub fn unescape_quotes(content: &str) -> String {
-    let mut out = String::with_capacity(content.len());
-    let mut chars = content.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 /// Scan `src` into blanked code plus captured comments and literals.
@@ -421,10 +395,6 @@ mod tests {
         assert!(!s.code.contains("Instant"));
         assert_eq!(s.strings.len(), 1);
         assert_eq!(s.strings[0].content, r#"Instant::now() \" quoted"#);
-        assert_eq!(
-            unescape_quotes(&s.strings[0].content),
-            r#"Instant::now() " quoted"#
-        );
     }
 
     #[test]

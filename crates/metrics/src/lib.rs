@@ -32,6 +32,6 @@ pub use sketch::QuantileSketch;
 pub use stats::{fraction_where, mean, percentile, Cdf};
 pub use summary::{
     json_escape, json_num, json_opt_num, DisruptionSummary, DivergenceSummary, RunSummary,
-    TransportSummary,
+    TransportSummary, FORENSICS_SCHEMA,
 };
 pub use table::{frac, render_series, Table};

@@ -26,7 +26,6 @@ pub struct TransportSummary {
 
 impl TransportSummary {
     /// Compact JSON object.
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -64,7 +63,6 @@ pub struct DisruptionSummary {
 
 impl DisruptionSummary {
     /// Compact JSON object.
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -143,8 +141,7 @@ impl DivergenceSummary {
             + self.exit_only
     }
 
-    /// Compact JSON object, schema-tagged.
-    // lint:schema(ups-forensics/v1)
+    /// Compact JSON object, tagged [`FORENSICS_SCHEMA`].
     pub fn to_json(&self) -> String {
         let nodes: Vec<String> = self
             .top_nodes
@@ -153,7 +150,7 @@ impl DivergenceSummary {
             .collect();
         format!(
             concat!(
-                r#"{{"schema":"ups-forensics/v1","mismatches":{},"#,
+                r#"{{"schema":"{}","mismatches":{},"#,
                 r#""overdue_within_t":{},"overdue_beyond_t":{},"#,
                 r#""missing_in_replay":{},"dead_link_drop":{},"buffer_drop":{},"#,
                 r#""rank_tie_break":{},"bucket_collision":{},"reroute":{},"#,
@@ -161,6 +158,7 @@ impl DivergenceSummary {
                 r#""hop_lateness_p50_s":{},"hop_lateness_p99_s":{},"#,
                 r#""top_nodes":[{}]}}"#
             ),
+            FORENSICS_SCHEMA,
             self.mismatches,
             self.overdue_within_t,
             self.overdue_beyond_t,
@@ -178,6 +176,9 @@ impl DivergenceSummary {
         )
     }
 }
+
+/// Schema tag of the [`DivergenceSummary`] block.
+pub const FORENSICS_SCHEMA: &str = "ups-forensics/v1";
 
 /// Everything one sweep job reports about its run.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,7 +235,6 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Compact single-line JSON object (JSONL-friendly).
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         let buckets: Vec<String> = self
             .fct_buckets

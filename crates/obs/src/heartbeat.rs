@@ -35,7 +35,6 @@ pub struct WorkerRow {
 
 impl WorkerRow {
     /// One JSON object, flat.
-    // lint:schema(ups-obs-heartbeat/v2)
     pub fn to_json(&self) -> String {
         format!(
             "{{\"worker\": {}, \"jobs\": {}, \"busy_s\": {}, \"utilization\": {}}}",
@@ -66,7 +65,6 @@ pub struct HeartbeatRecord {
 
 impl HeartbeatRecord {
     /// One self-describing JSON line (no trailing newline).
-    // lint:schema(ups-obs-heartbeat/v2)
     pub fn to_json(&self) -> String {
         let workers: Vec<String> = self.workers.iter().map(|w| w.to_json()).collect();
         format!(
@@ -88,7 +86,6 @@ impl HeartbeatRecord {
 /// Render the run-level `ups-obs-timeseries/v2` document from the tick
 /// history. `workers` is the finished pool's size; `wall_s` the whole
 /// sweep.
-// lint:schema(ups-obs-timeseries/v2)
 pub fn timeseries_json(records: &[HeartbeatRecord], workers: usize, wall_s: f64) -> String {
     let body: Vec<String> = records
         .iter()

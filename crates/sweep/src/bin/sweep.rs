@@ -377,70 +377,11 @@ fn list_registries() {
     println!("  UPS_FORENSICS_SEED     workload seed for both axes (default 7)");
 }
 
-/// Schema-check one artifact, dispatching on its parsed schema tag: each
-/// bench family has its own validator; everything else goes through the
-/// sweep validator (which names any unexpected tag).
+/// Schema-check one artifact: the tag picks its field table and
+/// invariants (`ups_sweep::validate_artifact`).
 fn validate_artifact(path: &std::path::Path) -> Result<String, String> {
     let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let schema_tag = ups_sweep::json::parse(&doc)
-        .ok()
-        .and_then(|v| v.get("schema").and_then(|s| s.as_str().map(String::from)));
-    if schema_tag.as_deref() == Some(ups_sweep::QUANTIZED_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_quantized(&doc).map(|d| {
-            format!(
-                "{} finite-K rows, exact-LSTF match rate {:.4}",
-                d.rows, d.exact_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::FAILURES_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_failures(&doc).map(|d| {
-            format!(
-                "{} intensity rows, match rate {:.4} (static) -> {:.4} (worst)",
-                d.rows, d.baseline_match_rate, d.worst_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::SCALE_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_scale(&doc).map(|d| {
-            format!(
-                "{} packets / {} flows streamed, peak RSS {:.1} MiB, match rate {:.4}",
-                d.packets,
-                d.flows,
-                d.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                d.replay_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_obs::TIMESERIES_SCHEMA) {
-        ups_sweep::validate_obs_timeseries(&doc).map(|d| {
-            format!(
-                "{} heartbeat ticks over {:.2}s, {} jobs on {} workers",
-                d.ticks, d.wall_s, d.jobs, d.workers
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::OBS_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_obs(&doc).map(|d| {
-            format!(
-                "{} packets, probe-off overhead {:+.2}% (tolerance {:.0}%), probe-on {:+.2}%",
-                d.packets,
-                d.probe_off_overhead * 100.0,
-                d.tolerance * 100.0,
-                d.probe_on_overhead * 100.0
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::DIVERGENCE_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_divergence(&doc).map(|d| {
-            format!(
-                "{} quantization rows + {} failure rows, {} mismatches attributed (conserved)",
-                d.quantization_rows, d.failure_rows, d.total_mismatches
-            )
-        })
-    } else {
-        validate_bench_sweep(&doc).map(|d| {
-            format!(
-                "{} jobs, {} workers, {:.2} jobs/sec",
-                d.jobs, d.workers, d.jobs_per_sec
-            )
-        })
-    }
+    ups_sweep::validate_artifact(&doc)
 }
 
 /// `sweep explain`: expand the grid, pick the one job (by `--job` id when

@@ -106,7 +106,6 @@ pub struct JobSpec {
 impl JobSpec {
     /// The scenario as a compact JSON object — embedded in every result
     /// record so each line is self-describing.
-    // lint:schema(ups-sweep-record/v5)
     pub fn scenario_json(&self) -> String {
         let opt_u64 = |v: Option<u64>| match v {
             Some(n) => n.to_string(),
@@ -249,7 +248,6 @@ impl Exclude {
 
     /// The filter as JSON, so a recorded grid block can reproduce the
     /// exact job list it generated.
-    // lint:schema(ups-sweep/v5)
     fn to_json(&self) -> String {
         let opt_str = |v: &Option<String>| match v {
             Some(s) => format!("\"{}\"", json_escape(s)),
@@ -651,7 +649,6 @@ impl ScenarioGrid {
     }
 
     /// The grid itself as JSON — the `"grid"` block of `BENCH_sweep.json`.
-    // lint:schema(ups-sweep/v5)
     pub fn to_json(&self) -> String {
         let strs = |v: &[String]| {
             v.iter()

@@ -60,171 +60,206 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Artifacts nest about
+/// five levels; the limit turns a pathological document (`[[[[…`) into
+/// an `Err` instead of a stack overflow in the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Runs in time linear in the input and never panics on malformed input.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let b = input.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut p = Parser { s: input, pos: 0 };
+    let v = p.value(0)?;
+    p.skip_ws();
+    if p.pos != input.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent cursor over the input. `pos` only ever stops on an
+/// ASCII byte or the end, so every `s[a..b]` slice is on a char boundary.
+struct Parser<'a> {
+    s: &'a str,
+    pos: usize,
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {} (found {:?})",
-            c as char,
-            *pos,
-            b.get(*pos).map(|&x| x as char)
-        ))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        other => Err(format!("unexpected {other:?} at byte {pos}", pos = *pos)),
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at byte {} (found {:?})",
+                c as char,
+                self.pos,
+                self.peek().map(|x| x as char)
+            ))
+        }
     }
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b't') => self.lit("true", JsonValue::Bool(true)),
+            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
+            Some(b'n') => self.lit("null", JsonValue::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|x| x as char),
+                self.pos
+            )),
+        }
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Number)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    fn lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+        if self.s[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        self.s[start..self.pos]
+            .parse::<f64>()
+            .map(JsonValue::Number)
+            .map_err(|_| format!("bad number at byte {start}"))
+    }
+
+    /// Copies each run between `"`/`\\` delimiters as one slice, so a
+    /// string costs time linear in its length.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        // Surrogate pairs don't appear in our artifacts;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+            out.push_str(&self.s[run..self.pos]);
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                _ => {
+                    self.pos += 1; // the backslash
+                    let escaped = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = self
+                                .s
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+                                .ok_or("bad \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| "bad \\u escape".to_string())?;
+                            self.pos += 4;
+                            // Surrogate pairs don't appear in our artifacts;
+                            // map lone surrogates to the replacement char.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        other => return Err(format!("bad escape {:?}", other.map(|x| x as char))),
+                    };
+                    out.push(escaped);
+                    self.pos += 1;
+                }
             }
         }
     }
-}
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'[')?;
-    let mut v = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(v));
-    }
-    loop {
-        v.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(v));
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        let mut v = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(v));
+        }
+        loop {
+            v.push(self.value(depth)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(v));
+                }
+                other => {
+                    return Err(format!(
+                        "expected , or ] (found {:?})",
+                        other.map(|x| x as char)
+                    ))
+                }
             }
-            other => return Err(format!("expected , or ] (found {other:?})")),
         }
     }
-}
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'{')?;
-    let mut m = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(m));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        m.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(m));
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        let mut m = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(m));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value(depth)?;
+            m.insert(key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(m));
+                }
+                other => {
+                    return Err(format!(
+                        "expected , or }} (found {:?})",
+                        other.map(|x| x as char)
+                    ))
+                }
             }
-            other => return Err(format!("expected , or }} (found {other:?})")),
         }
     }
 }
@@ -309,5 +344,22 @@ mod tests {
     fn unicode_and_escapes() {
         let v = parse(r#""café → naïve""#).unwrap();
         assert_eq!(v.as_str(), Some("café → naïve"));
+        let v = parse(r#""a\u00e9\/b\tç""#).unwrap();
+        assert_eq!(v.as_str(), Some("aé/b\tç"));
+        assert!(parse(r#""\u+0e9""#).is_err());
+        assert!(parse(r#""\u00"#).is_err());
+        assert!(parse(r#""\x""#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Far past the limit, unbalanced, objects and arrays mixed: still
+        // an Err, never an abort.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":["#.repeat(100_000)).is_err());
     }
 }

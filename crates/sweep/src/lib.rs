@@ -7,7 +7,9 @@
 //! cursor) executes them with per-job seeded determinism; and the [`store`]
 //! streams one JSON line per finished job before aggregating everything
 //! into a schema-tagged `BENCH_sweep.json` (DESIGN.md §5 artifact
-//! pattern, §7–§8 for this subsystem).
+//! pattern, §7–§8 for this subsystem). Every schema-tagged artifact the
+//! workspace writes is declared once, as a field table in `schema.rs`, and
+//! validated through [`validate_artifact`].
 //!
 //! The traffic axis closes the loop: `open-loop` jobs inject §2.3's
 //! paced UDP trains; `closed-loop` jobs drive live TCP Reno endpoints
@@ -59,6 +61,7 @@ pub mod grid;
 pub mod json;
 pub mod pool;
 pub mod runner;
+mod schema;
 pub mod store;
 pub mod telemetry;
 
@@ -73,11 +76,11 @@ pub use runner::{
     SharedScenarios, RECORD_SCHEMA,
 };
 pub use store::{
-    bench_sweep_json, validate_bench_divergence, validate_bench_failures, validate_bench_obs,
-    validate_bench_quantized, validate_bench_scale, validate_bench_sweep, validate_obs_timeseries,
-    DivergenceDigest, FailuresDigest, ObsDigest, QuantizedDigest, ResultStream, ScaleDigest,
-    SweepDigest, TimeSeriesDigest, ACCEPTED_SWEEP_SCHEMAS, DIVERGENCE_BENCH_SCHEMA,
+    bench_sweep_json, validate_artifact, validate_bench_divergence, validate_bench_failures,
+    validate_bench_obs, validate_bench_quantized, validate_bench_scale, validate_bench_sweep,
+    validate_obs_timeseries, DivergenceDigest, FailuresDigest, ObsDigest, QuantizedDigest,
+    ResultStream, ScaleDigest, SweepDigest, TimeSeriesDigest, DIVERGENCE_BENCH_SCHEMA,
     FAILURES_BENCH_SCHEMA, OBS_BENCH_SCHEMA, QUANTIZED_BENCH_SCHEMA, SCALE_BENCH_SCHEMA,
-    SWEEP_SCHEMA,
+    SWEEP_SCHEMA, THROUGHPUT_BENCH_SCHEMA,
 };
 pub use telemetry::{Heartbeat, HeartbeatConfig};

@@ -9,9 +9,15 @@
 //!   generated the sweep, pool accounting (workers, jobs/sec) and
 //!   every record sorted by job id.
 //!
-//! [`validate_bench_sweep`] loads an aggregate back through the minimal
-//! parser and asserts its schema — the check CI runs on the artifact.
+//! Validation is shared by every schema-tagged artifact the workspace
+//! writes. A registry (`ARTIFACTS`) maps each top-level tag to its field
+//! table (`schema.rs`) and to the invariants a table cannot
+//! express; each `validate_*` function (and [`validate_artifact`], which
+//! dispatches on the tag) parses, looks the tag up, walks the table,
+//! then checks the invariants. Every failure is an `Err` naming the offending
+//! field — never a panic.
 
+use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -21,21 +27,14 @@ use crate::grid::ScenarioGrid;
 use crate::json::{parse, JsonValue};
 use crate::pool::PoolStats;
 use crate::runner::JobRecord;
+use crate::schema::{self, Field};
 
 /// Schema tag of the aggregate artifact this build writes.
 pub const SWEEP_SCHEMA: &str = "ups-sweep/v5";
 
-/// Aggregate schema tags [`validate_bench_sweep`] accepts (v1 artifacts
-/// predate the traffic-mode axis and the transport block; v2 predates
-/// the finite-priority-queue axis; v3 predates the failure axis and the
-/// disruption block; v4 still carries the retired pool `steals` count).
-pub const ACCEPTED_SWEEP_SCHEMAS: [&str; 5] = [
-    "ups-sweep/v1",
-    "ups-sweep/v2",
-    "ups-sweep/v3",
-    "ups-sweep/v4",
-    "ups-sweep/v5",
-];
+/// Schema tag of the engine-throughput bench artifact
+/// (`BENCH_throughput.json`).
+pub const THROUGHPUT_BENCH_SCHEMA: &str = "ups-bench-throughput/v1";
 
 /// Schema tag of the quantized-replay bench artifact
 /// (`BENCH_quantized.json`), validated by [`validate_bench_quantized`].
@@ -96,7 +95,6 @@ impl ResultStream {
 
 /// Render the aggregate artifact. Records are sorted by job id (the
 /// caller hands them in pool order, which is already job order).
-// lint:schema(ups-sweep/v5)
 pub fn bench_sweep_json(
     grid: &ScenarioGrid,
     records: &[JobRecord],
@@ -136,325 +134,163 @@ pub fn bench_sweep_json(
     )
 }
 
-/// What a valid aggregate reports — returned so callers can print a
-/// one-line confirmation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepDigest {
-    /// Jobs recorded.
-    pub jobs: usize,
-    /// Worker threads the sweep used.
-    pub workers: usize,
-    /// Aggregate throughput.
-    pub jobs_per_sec: f64,
+/// One artifact family: its top-level schema tag, its field table, and
+/// the invariants the table cannot express, which on success render the
+/// one-line summary `sweep --validate` prints.
+struct Artifact {
+    tag: &'static str,
+    table: &'static [Field],
+    invariants: fn(&JsonValue) -> Result<String, String>,
 }
 
-/// Validate a `BENCH_sweep.json` document against its schema.
-/// Every tag in [`ACCEPTED_SWEEP_SCHEMAS`] validates; each record line is
-/// checked against its own `ups-sweep-record/v{1..5}` tag. Every failure is a `Result::Err`
-/// naming the offending field — never a panic — so `sweep --check` can
-/// print a usable diagnosis.
-pub fn validate_bench_sweep(doc: &str) -> Result<SweepDigest, String> {
+/// Every top-level artifact family, keyed by schema tag — the registry
+/// [`validate_artifact`] and each `validate_*` function look tags up in.
+const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        tag: SWEEP_SCHEMA,
+        table: schema::SWEEP,
+        invariants: |v| sweep_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: THROUGHPUT_BENCH_SCHEMA,
+        table: schema::THROUGHPUT,
+        invariants: throughput_invariants,
+    },
+    Artifact {
+        tag: QUANTIZED_BENCH_SCHEMA,
+        table: schema::QUANTIZED,
+        invariants: |v| quantized_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: FAILURES_BENCH_SCHEMA,
+        table: schema::FAILURES,
+        invariants: |v| failures_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: SCALE_BENCH_SCHEMA,
+        table: schema::SCALE,
+        invariants: |v| scale_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: OBS_BENCH_SCHEMA,
+        table: schema::OBS,
+        invariants: |v| obs_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: DIVERGENCE_BENCH_SCHEMA,
+        table: schema::DIVERGENCE,
+        invariants: |v| divergence_invariants(v).map(|d| d.to_string()),
+    },
+    Artifact {
+        tag: ups_obs::TIMESERIES_SCHEMA,
+        table: schema::TIMESERIES,
+        invariants: |v| timeseries_invariants(v).map(|d| d.to_string()),
+    },
+];
+
+/// Validate any schema-tagged artifact: parse, pick the family by its
+/// `"schema"` tag, walk the family's table, check its invariants. Returns
+/// the family's one-line summary.
+pub fn validate_artifact(doc: &str) -> Result<String, String> {
     let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if !ACCEPTED_SWEEP_SCHEMAS.contains(&schema) {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected one of {ACCEPTED_SWEEP_SCHEMAS:?})"
-        ));
+    let artifact = lookup(schema_tag(&v)?)?;
+    schema::walk(&v, artifact.table, "")?;
+    (artifact.invariants)(&v)
+}
+
+/// Parse `doc`, require its tag to be `tag`, and walk that family's
+/// table — the shared front half of every typed `validate_*`.
+fn load(doc: &str, tag: &str) -> Result<JsonValue, String> {
+    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
+    let found = schema_tag(&v)?;
+    if found != tag {
+        return Err(format!("unexpected schema {found:?} (expected {tag:?})"));
     }
-    v.get("grid").ok_or("missing grid block")?;
-    let jobs = v
-        .get("jobs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing jobs count")? as usize;
-    let workers = v
-        .get("workers")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing workers")? as usize;
-    let jobs_per_sec = v
-        .get("jobs_per_sec")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing jobs_per_sec")?;
-    if !jobs_per_sec.is_finite() || jobs_per_sec <= 0.0 {
-        return Err(format!("jobs_per_sec {jobs_per_sec} not positive"));
-    }
-    let results = v
-        .get("results")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing results array")?;
-    if results.len() != jobs {
-        return Err(format!(
-            "jobs field says {jobs} but results holds {}",
-            results.len()
-        ));
-    }
-    for (i, r) in results.iter().enumerate() {
-        let id = r
-            .get("job_id")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("result {i}: missing job_id"))?;
-        if id as usize != i {
-            return Err(format!("result {i} has job_id {id} — not sorted/dense"));
-        }
-        validate_record(i, r)?;
-    }
-    Ok(SweepDigest {
-        jobs,
-        workers,
-        jobs_per_sec,
+    schema::walk(&v, lookup(tag)?.table, "")?;
+    Ok(v)
+}
+
+fn lookup(tag: &str) -> Result<&'static Artifact, String> {
+    ARTIFACTS.iter().find(|a| a.tag == tag).ok_or_else(|| {
+        let known: Vec<&str> = ARTIFACTS.iter().map(|a| a.tag).collect();
+        format!("unknown schema {tag:?} (expected one of {known:?})")
     })
 }
 
-/// Validate one result record against its own schema tag (`v1` — `v5`).
-fn validate_record(i: usize, r: &JsonValue) -> Result<(), String> {
-    let record_schema = r
-        .get("schema")
+fn schema_tag(v: &JsonValue) -> Result<&str, String> {
+    v.get("schema")
         .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("result {i}: missing record schema tag"))?;
-    let (v2, v3, v4, v5) = match record_schema {
-        "ups-sweep-record/v1" => (false, false, false, false),
-        "ups-sweep-record/v2" => (true, false, false, false),
-        "ups-sweep-record/v3" => (true, true, false, false),
-        "ups-sweep-record/v4" => (true, true, true, false),
-        "ups-sweep-record/v5" => (true, true, true, true),
-        other => {
-            return Err(format!(
-                "result {i}: unexpected record schema {other:?} \
-                 (expected ups-sweep-record/v1 through /v5)"
-            ))
-        }
-    };
-    let scenario = r
-        .get("scenario")
-        .ok_or_else(|| format!("result {i}: missing scenario"))?;
-    for field in ["topology", "profile", "scheduler"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("result {i}: scenario.{field} missing"));
-        }
-    }
-    for field in ["utilization", "seed", "window_ms"] {
-        if scenario.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("result {i}: scenario.{field} missing"));
-        }
-    }
-    let metrics = r
-        .get("metrics")
-        .ok_or_else(|| format!("result {i}: missing metrics"))?;
-    for field in [
-        "flows",
-        "packets",
-        "delivered",
-        "dropped",
-        "delay_mean_s",
-        "delay_p99_s",
-        "fct_mean_s",
-    ] {
-        if metrics.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("result {i}: metrics.{field} missing"));
-        }
-    }
-    if metrics
-        .get("fct_buckets")
+        .ok_or_else(|| "missing schema tag".to_string())
+}
+
+/// A number field of a walked object (the walk guarantees presence; the
+/// `Err` keeps invariant code panic-free regardless).
+fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("{key} missing"))
+}
+
+/// An array field of a walked object.
+fn rows<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
+    v.get(key)
         .and_then(JsonValue::as_array)
-        .is_none()
-    {
-        return Err(format!("result {i}: metrics.fct_buckets missing"));
-    }
-    if !v2 {
-        // v1: Jain was unconditionally numeric; no traffic/transport.
-        if metrics.get("jain").and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("result {i}: metrics.jain missing"));
-        }
-        return Ok(());
-    }
-    // v2: the traffic axis is part of the scenario, Jain may be null
-    // (zero-delivery run), and closed-loop records carry a transport
-    // block.
-    let traffic = scenario
-        .get("traffic")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("result {i}: scenario.traffic missing"))?;
-    if traffic != "open-loop" && traffic != "closed-loop" {
-        return Err(format!(
-            "result {i}: unexpected scenario.traffic {traffic:?}"
-        ));
-    }
-    match metrics.get("jain") {
-        Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
-        Some(other) => {
-            return Err(format!(
-                "result {i}: metrics.jain must be number or null, got {other:?}"
-            ))
-        }
-        None => return Err(format!("result {i}: metrics.jain missing")),
-    }
-    match metrics.get("transport") {
-        Some(JsonValue::Null) => {
-            if traffic == "closed-loop" {
+        .ok_or_else(|| format!("{key} missing"))
+}
+
+/// A nullable field holds a value (is neither `null` nor absent).
+fn is_set(v: &JsonValue, key: &str) -> bool {
+    !matches!(v.get(key), None | Some(JsonValue::Null))
+}
+
+/// The K-axis rule shared by the quantized and divergence benches:
+/// finite K ascending (each ≥ 1), then exactly one `k: null`
+/// (exact-LSTF) row, last.
+fn k_axis(axis: &str, rows: &[JsonValue]) -> Result<(), String> {
+    let mut last_k = 0.0f64;
+    let mut saw_exact = false;
+    for (i, r) in rows.iter().enumerate() {
+        match r.get("k").and_then(JsonValue::as_f64) {
+            _ if saw_exact => {
                 return Err(format!(
-                    "result {i}: closed-loop record lacks a transport block"
-                ));
+                    "{axis}[{i}]: row after the k = null (exact) row — more than one exact row, \
+                     or finite K after it"
+                ))
             }
-        }
-        Some(t @ JsonValue::Object(_)) => {
-            // v3 transport blocks additionally carry the fairness-slack
-            // out-of-order warning counter.
-            let fields: &[&str] = if v3 {
-                &[
-                    "completed_flows",
-                    "goodput_bytes",
-                    "retransmits",
-                    "rto_events",
-                    "slack_ooo",
-                ]
-            } else {
-                &[
-                    "completed_flows",
-                    "goodput_bytes",
-                    "retransmits",
-                    "rto_events",
-                ]
-            };
-            for field in fields {
-                if t.get(field).and_then(JsonValue::as_f64).is_none() {
-                    return Err(format!("result {i}: metrics.transport.{field} missing"));
-                }
-            }
-        }
-        Some(other) => {
-            return Err(format!(
-                "result {i}: metrics.transport must be object or null, got {other:?}"
-            ))
-        }
-        None => return Err(format!("result {i}: metrics.transport missing")),
-    }
-    if !v3 {
-        return Ok(());
-    }
-    // v3: the finite-priority-queue sub-axis. `queues`/`mapper` travel
-    // together, and the quantized metrics are number-or-null.
-    let queues = match scenario.get("queues") {
-        Some(JsonValue::Null) => None,
-        Some(JsonValue::Number(k)) if *k >= 1.0 => Some(*k),
-        other => {
-            return Err(format!(
-                "result {i}: scenario.queues must be a positive number or null, got {other:?}"
-            ))
-        }
-    };
-    let mapper = match scenario.get("mapper") {
-        Some(JsonValue::Null) => None,
-        Some(JsonValue::String(m)) => Some(m.clone()),
-        other => {
-            return Err(format!(
-                "result {i}: scenario.mapper must be a string or null, got {other:?}"
-            ))
-        }
-    };
-    if queues.is_some() != mapper.is_some() {
-        return Err(format!(
-            "result {i}: scenario.queues and scenario.mapper must be set together"
-        ));
-    }
-    for field in [
-        "quantized_match_rate",
-        "quantized_frac_gt_t",
-        "quantized_fct_delta_s",
-    ] {
-        match metrics.get(field) {
-            Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
-            other => {
+            None => saw_exact = true,
+            Some(k) if k >= 1.0 && k > last_k => last_k = k,
+            Some(k) => {
                 return Err(format!(
-                    "result {i}: metrics.{field} must be number or null, got {other:?}"
+                    "{axis}[{i}]: K {k} must be ≥ 1 and ascend (prev {last_k})"
                 ))
             }
         }
-        if queues.is_none() && matches!(metrics.get(field), Some(JsonValue::Number(_))) {
+    }
+    if saw_exact {
+        Ok(())
+    } else {
+        Err(format!("{axis} lacks the k = null (exact) row"))
+    }
+}
+
+/// The failure-rate axis rule shared by the failures and divergence
+/// benches: rates ascend within [0, 1], starting at the zero-failure
+/// baseline.
+fn rate_axis(axis: &str, rows: &[JsonValue]) -> Result<(), String> {
+    let mut last_rate = f64::NEG_INFINITY;
+    for (i, r) in rows.iter().enumerate() {
+        let rate = num(r, "rate")?;
+        if !(0.0..=1.0).contains(&rate) || rate <= last_rate {
             return Err(format!(
-                "result {i}: metrics.{field} set but the scenario has no queues axis"
+                "{axis}[{i}]: rate {rate} must ascend within [0, 1] (prev {last_rate})"
             ));
         }
-    }
-    if !v4 {
-        return Ok(());
-    }
-    // v4: the network-dynamics axis. `failures`/`inflight` travel
-    // together, and the disruption block is present exactly when the
-    // scenario carries a failure spec.
-    let failures = match scenario.get("failures") {
-        Some(JsonValue::Null) => None,
-        Some(JsonValue::String(f)) => Some(f.clone()),
-        other => {
+        if i == 0 && rate != 0.0 {
             return Err(format!(
-                "result {i}: scenario.failures must be a string or null, got {other:?}"
-            ))
+                "{axis}[0]: the first row must be the zero-failure baseline"
+            ));
         }
-    };
-    match scenario.get("inflight") {
-        Some(JsonValue::Null) if failures.is_none() => {}
-        Some(JsonValue::String(p)) if failures.is_some() && (p == "reroute" || p == "drop") => {}
-        other => {
-            return Err(format!(
-                "result {i}: scenario.inflight must be reroute/drop exactly when \
-                 failures is set, got {other:?}"
-            ))
-        }
-    }
-    match metrics.get("disruption") {
-        Some(JsonValue::Null) => {
-            if failures.is_some() {
-                return Err(format!(
-                    "result {i}: failure record lacks a disruption block"
-                ));
-            }
-        }
-        Some(d @ JsonValue::Object(_)) => {
-            if failures.is_none() {
-                return Err(format!(
-                    "result {i}: disruption block on a static-network record"
-                ));
-            }
-            for field in ["links_failed", "rerouted", "dropped_at_dead_link"] {
-                if d.get(field).and_then(JsonValue::as_f64).is_none() {
-                    return Err(format!("result {i}: metrics.disruption.{field} missing"));
-                }
-            }
-            match d.get("churn_replay_match_rate") {
-                Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
-                other => {
-                    return Err(format!(
-                        "result {i}: disruption.churn_replay_match_rate must be \
-                         number or null, got {other:?}"
-                    ))
-                }
-            }
-        }
-        other => {
-            return Err(format!(
-                "result {i}: metrics.disruption must be object or null, got {other:?}"
-            ))
-        }
-    }
-    if !v5 {
-        return Ok(());
-    }
-    // v5: the divergence forensics block — object or null, and when
-    // present its taxonomy must be *conserved*: each mismatched packet
-    // got exactly one cause and one inversion class, so both families
-    // sum back to the mismatch count. A block that doesn't is corrupt
-    // attribution, not a schema quirk.
-    match metrics.get("divergence") {
-        Some(JsonValue::Null) => {}
-        Some(d @ JsonValue::Object(_)) => {
-            validate_divergence_block(&format!("result {i}"), d)?;
-        }
-        other => {
-            return Err(format!(
-                "result {i}: metrics.divergence must be object or null, got {other:?}"
-            ))
-        }
+        last_rate = rate;
     }
     Ok(())
 }
@@ -477,33 +313,20 @@ const DIVERGENCE_INVERSIONS: [&str; 5] = [
     "exit_only",
 ];
 
-/// Validate one `ups-forensics/v1` object wherever it appears (the v5
-/// record's `divergence` block, every divergence-bench row). Returns the
-/// block's mismatch count. Shared so the conservation laws — Σ causes ≡
-/// Σ inversions ≡ mismatches — are enforced identically everywhere.
-fn validate_divergence_block(ctx: &str, d: &JsonValue) -> Result<u64, String> {
-    let tag = d
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{ctx}: divergence block lacks its schema tag"))?;
-    if tag != "ups-forensics/v1" {
-        return Err(format!(
-            "{ctx}: divergence schema {tag:?} (expected \"ups-forensics/v1\")"
-        ));
-    }
-    let field = |name: &str| -> Result<f64, String> {
-        d.get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{ctx}: divergence.{name} missing"))
-    };
-    let mismatches = field("mismatches")?;
+/// The conservation law of an `ups-forensics/v1` block wherever it
+/// appears (the record's `divergence` block, every divergence-bench
+/// row): each mismatched packet got exactly one cause and one inversion
+/// class, so Σ causes ≡ Σ inversions ≡ mismatches. Returns the block's
+/// mismatch count.
+fn conserved(ctx: &str, d: &JsonValue) -> Result<u64, String> {
+    let mismatches = num(d, "mismatches")?;
     for (family, names) in [
         ("cause", &DIVERGENCE_CAUSES),
         ("inversion", &DIVERGENCE_INVERSIONS),
     ] {
         let mut sum = 0.0;
         for name in *names {
-            sum += field(name)?;
+            sum += num(d, name)?;
         }
         if sum != mismatches {
             return Err(format!(
@@ -512,28 +335,146 @@ fn validate_divergence_block(ctx: &str, d: &JsonValue) -> Result<u64, String> {
             ));
         }
     }
-    for name in ["hop_lateness_p50_s", "hop_lateness_p99_s"] {
-        match d.get(name) {
-            Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
-            other => {
-                return Err(format!(
-                    "{ctx}: divergence.{name} must be number or null, got {other:?}"
-                ))
-            }
-        }
-    }
-    let nodes = d
-        .get("top_nodes")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{ctx}: divergence.top_nodes missing"))?;
-    for (j, n) in nodes.iter().enumerate() {
-        for name in ["node", "mismatches"] {
-            if n.get(name).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("{ctx}: divergence.top_nodes[{j}].{name} missing"));
-            }
-        }
-    }
     Ok(mismatches as u64)
+}
+
+/// What a valid aggregate reports — returned so callers can print a
+/// one-line confirmation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepDigest {
+    /// Jobs recorded.
+    pub jobs: usize,
+    /// Worker threads the sweep used.
+    pub workers: usize,
+    /// Aggregate throughput.
+    pub jobs_per_sec: f64,
+}
+
+impl fmt::Display for SweepDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} jobs, {} workers, {:.2} jobs/sec",
+            self.jobs, self.workers, self.jobs_per_sec
+        )
+    }
+}
+
+/// Validate a `BENCH_sweep.json` document ([`SWEEP_SCHEMA`], every
+/// record line `ups-sweep-record/v5`) against [`schema::SWEEP`], then
+/// its invariants: `jobs` matches the dense, sorted `results`; closed-loop
+/// records carry a transport block; `queues`/`mapper` and
+/// `failures`/`inflight`/`disruption` are set together; every
+/// divergence block is conserved.
+pub fn validate_bench_sweep(doc: &str) -> Result<SweepDigest, String> {
+    sweep_invariants(&load(doc, SWEEP_SCHEMA)?)
+}
+
+fn sweep_invariants(v: &JsonValue) -> Result<SweepDigest, String> {
+    let jobs_per_sec = num(v, "jobs_per_sec")?;
+    if jobs_per_sec <= 0.0 {
+        return Err(format!("jobs_per_sec {jobs_per_sec} not positive"));
+    }
+    let jobs = num(v, "jobs")? as usize;
+    let results = rows(v, "results")?;
+    if results.len() != jobs {
+        return Err(format!(
+            "jobs field says {jobs} but results holds {}",
+            results.len()
+        ));
+    }
+    for (i, r) in results.iter().enumerate() {
+        let id = num(r, "job_id")?;
+        if id as usize != i {
+            return Err(format!("results[{i}] has job_id {id} — not sorted/dense"));
+        }
+        record_invariants(&format!("results[{i}]"), r)?;
+    }
+    Ok(SweepDigest {
+        jobs,
+        workers: num(v, "workers")? as usize,
+        jobs_per_sec,
+    })
+}
+
+/// The cross-field rules of one `ups-sweep-record/v5` line.
+fn record_invariants(ctx: &str, r: &JsonValue) -> Result<(), String> {
+    let (Some(scenario), Some(metrics)) = (r.get("scenario"), r.get("metrics")) else {
+        return Err(format!("{ctx}: scenario or metrics missing"));
+    };
+    if scenario.get("traffic").and_then(JsonValue::as_str) == Some("closed-loop")
+        && !is_set(metrics, "transport")
+    {
+        return Err(format!("{ctx}: closed-loop record lacks a transport block"));
+    }
+    let queues = is_set(scenario, "queues");
+    if queues != is_set(scenario, "mapper") {
+        return Err(format!(
+            "{ctx}: scenario.queues and scenario.mapper must be set together"
+        ));
+    }
+    if scenario.get("queues").and_then(JsonValue::as_f64) == Some(0.0) {
+        return Err(format!("{ctx}: scenario.queues must be ≥ 1"));
+    }
+    for field in [
+        "quantized_match_rate",
+        "quantized_frac_gt_t",
+        "quantized_fct_delta_s",
+    ] {
+        if !queues && is_set(metrics, field) {
+            return Err(format!(
+                "{ctx}: metrics.{field} set but the scenario has no queues axis"
+            ));
+        }
+    }
+    let failures = is_set(scenario, "failures");
+    if failures != is_set(scenario, "inflight") {
+        return Err(format!(
+            "{ctx}: scenario.failures and scenario.inflight must be set together"
+        ));
+    }
+    match (failures, is_set(metrics, "disruption")) {
+        (true, false) => {
+            return Err(format!("{ctx}: failure record lacks a disruption block"));
+        }
+        (false, true) => {
+            return Err(format!(
+                "{ctx}: disruption block on a static-network record"
+            ));
+        }
+        _ => {}
+    }
+    if let Some(d @ JsonValue::Object(_)) = metrics.get("divergence") {
+        conserved(&format!("{ctx}.metrics"), d)?;
+    }
+    Ok(())
+}
+
+/// `BENCH_throughput.json`: every engine simulated the same schedule.
+fn throughput_invariants(v: &JsonValue) -> Result<String, String> {
+    let delivered = v
+        .get("scenario")
+        .map_or(Err("scenario missing".to_string()), |s| num(s, "delivered"))?;
+    let results = rows(v, "results")?;
+    if results.is_empty() {
+        return Err("results array is empty".into());
+    }
+    for (i, r) in results.iter().enumerate() {
+        if num(r, "delivered")? != delivered {
+            return Err(format!(
+                "results[{i}].delivered differs from scenario.delivered {delivered} — \
+                 the engines simulated different schedules"
+            ));
+        }
+        if num(r, "packets_per_sec")? <= 0.0 {
+            return Err(format!("results[{i}].packets_per_sec must be positive"));
+        }
+    }
+    Ok(format!(
+        "{} engines, speedup {:.2}x packets/sec",
+        results.len(),
+        num(v, "speedup_packets_per_sec")?
+    ))
 }
 
 /// What a valid quantized-bench artifact reports.
@@ -545,71 +486,34 @@ pub struct QuantizedDigest {
     pub exact_match_rate: f64,
 }
 
+impl fmt::Display for QuantizedDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} finite-K rows, exact-LSTF match rate {:.4}",
+            self.rows, self.exact_match_rate
+        )
+    }
+}
+
 /// Validate a `BENCH_quantized.json` document (the `quantized` bench's
-/// K-sweep artifact; schema [`QUANTIZED_BENCH_SCHEMA`]). Checked by the
-/// same `sweep --validate` entry point as the sweep artifacts: the tag
-/// dispatches. Every failure is an `Err` naming the offending field.
+/// K-sweep artifact; schema [`QUANTIZED_BENCH_SCHEMA`]): K ascends to
+/// exactly one `k: null` exact-LSTF row, which asserts bit-identity with
+/// the exact replay.
 pub fn validate_bench_quantized(doc: &str) -> Result<QuantizedDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != QUANTIZED_BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {QUANTIZED_BENCH_SCHEMA:?})"
-        ));
+    quantized_invariants(&load(doc, QUANTIZED_BENCH_SCHEMA)?)
+}
+
+fn quantized_invariants(v: &JsonValue) -> Result<QuantizedDigest, String> {
+    let results = rows(v, "results")?;
+    k_axis("results", results)?;
+    let exact = results.last().ok_or("results array is empty")?;
+    if exact.get("bit_identical_to_exact_lstf").is_none() {
+        return Err("the exact row must assert bit_identical_to_exact_lstf: true".into());
     }
-    let scenario = v.get("scenario").ok_or("missing scenario block")?;
-    for field in ["topology", "original", "mapper"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    for field in ["packets", "seed", "utilization"] {
-        if scenario.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    let results = v
-        .get("results")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("results array is empty".into());
-    }
-    let mut exact_match_rate = None;
-    for (i, r) in results.iter().enumerate() {
-        // k: finite queue count, or null for the ∞ (exact) row.
-        let k = match r.get("k") {
-            Some(JsonValue::Null) => None,
-            Some(JsonValue::Number(k)) if *k >= 1.0 => Some(*k),
-            other => return Err(format!("row {i}: bad k {other:?}")),
-        };
-        for field in ["match_rate", "frac_gt_t", "mean_fct_s"] {
-            if r.get(field).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("row {i}: {field} missing"));
-            }
-        }
-        if k.is_none() {
-            if exact_match_rate.is_some() {
-                return Err("more than one k = null (exact) row".into());
-            }
-            exact_match_rate = r.get("match_rate").and_then(JsonValue::as_f64);
-            match r.get("bit_identical_to_exact_lstf") {
-                Some(JsonValue::Bool(true)) => {}
-                other => {
-                    return Err(format!(
-                        "exact row must assert bit_identical_to_exact_lstf: true, got {other:?}"
-                    ))
-                }
-            }
-        }
-    }
-    let exact_match_rate = exact_match_rate.ok_or("no k = null (exact) row")?;
     Ok(QuantizedDigest {
         rows: results.len() - 1,
-        exact_match_rate,
+        exact_match_rate: num(exact, "match_rate")?,
     })
 }
 
@@ -624,89 +528,43 @@ pub struct FailuresDigest {
     pub worst_match_rate: f64,
 }
 
+impl fmt::Display for FailuresDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} intensity rows, match rate {:.4} (static) -> {:.4} (worst)",
+            self.rows, self.baseline_match_rate, self.worst_match_rate
+        )
+    }
+}
+
 /// Validate a `BENCH_failures.json` document (the `failures` bench's
 /// match-rate-vs-failure-intensity curve; schema
-/// [`FAILURES_BENCH_SCHEMA`]). Dispatched from the same
-/// `sweep --validate` entry point by its schema tag. Rows must be sorted
-/// by ascending `rate`, start at `rate: 0`, and the zero row must assert
-/// bit-identity with the static-routing run.
+/// [`FAILURES_BENCH_SCHEMA`]). Rows must be sorted by ascending `rate`,
+/// start at `rate: 0`, and the zero row must assert bit-identity with
+/// the static-routing run.
 pub fn validate_bench_failures(doc: &str) -> Result<FailuresDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != FAILURES_BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {FAILURES_BENCH_SCHEMA:?})"
-        ));
-    }
-    let scenario = v.get("scenario").ok_or("missing scenario block")?;
-    for field in ["topology", "original", "profile", "inflight"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    for field in ["packets", "seed", "utilization"] {
-        if scenario.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    let results = v
-        .get("results")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing results array")?;
+    failures_invariants(&load(doc, FAILURES_BENCH_SCHEMA)?)
+}
+
+fn failures_invariants(v: &JsonValue) -> Result<FailuresDigest, String> {
+    let results = rows(v, "results")?;
+    let (Some(baseline), Some(worst)) = (results.first(), results.last()) else {
+        return Err("results array is empty".into());
+    };
     if results.len() < 2 {
         return Err("need at least the zero-failure row and one churn row".into());
     }
-    let mut last_rate = f64::NEG_INFINITY;
-    let mut baseline = None;
-    let mut worst = None;
-    for (i, r) in results.iter().enumerate() {
-        let rate = r
-            .get("rate")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("row {i}: rate missing"))?;
-        if !(0.0..=1.0).contains(&rate) || rate <= last_rate {
-            return Err(format!(
-                "row {i}: rate {rate} must ascend within [0, 1] (prev {last_rate})"
-            ));
-        }
-        last_rate = rate;
-        for field in [
-            "links_failed",
-            "rerouted",
-            "dropped_at_dead_link",
-            "delivered",
-            "match_rate",
-            "frac_gt_t",
-        ] {
-            if r.get(field).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("row {i}: {field} missing"));
-            }
-        }
-        let match_rate = r.get("match_rate").and_then(JsonValue::as_f64).unwrap();
-        if i == 0 {
-            if rate != 0.0 {
-                return Err("first row must be the zero-failure baseline".into());
-            }
-            match r.get("bit_identical_to_static_routing") {
-                Some(JsonValue::Bool(true)) => {}
-                other => {
-                    return Err(format!(
-                        "zero-failure row must assert bit_identical_to_static_routing: \
-                         true, got {other:?}"
-                    ))
-                }
-            }
-            baseline = Some(match_rate);
-        }
-        worst = Some(match_rate);
+    rate_axis("results", results)?;
+    if baseline.get("bit_identical_to_static_routing").is_none() {
+        return Err(
+            "the zero-failure row must assert bit_identical_to_static_routing: true".into(),
+        );
     }
     Ok(FailuresDigest {
         rows: results.len(),
-        baseline_match_rate: baseline.expect("checked row 0"),
-        worst_match_rate: worst.expect("non-empty"),
+        baseline_match_rate: num(baseline, "match_rate")?,
+        worst_match_rate: num(worst, "match_rate")?,
     })
 }
 
@@ -723,94 +581,71 @@ pub struct ScaleDigest {
     pub replay_match_rate: f64,
 }
 
+impl fmt::Display for ScaleDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} packets / {} flows streamed, peak RSS {:.1} MiB, match rate {:.4}",
+            self.packets,
+            self.flows,
+            self.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+            self.replay_match_rate
+        )
+    }
+}
+
 /// Validate a `BENCH_scale.json` document (the `scale` bench's
 /// bounded-memory streaming-pipeline artifact; schema
-/// [`SCALE_BENCH_SCHEMA`]). Dispatched from the same `sweep --validate`
-/// entry point by its schema tag. Enforces the issue's floors — ≥5M
-/// packets, ≥10k flows — plus peak RSS within the recorded budget and a
-/// fully-green differential block (streaming and resident layouts
-/// bit-identical on records, reports and summaries).
+/// [`SCALE_BENCH_SCHEMA`]). Enforces the scale floors — ≥5M packets,
+/// ≥10k flows — plus peak RSS within the recorded budget; the table
+/// requires the differential block (streaming and resident layouts
+/// bit-identical on records, reports and summaries) to assert `true`.
 pub fn validate_bench_scale(doc: &str) -> Result<ScaleDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != SCALE_BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {SCALE_BENCH_SCHEMA:?})"
-        ));
-    }
-    let scenario = v.get("scenario").ok_or("missing scenario block")?;
-    for field in ["topology", "scheduler"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    for field in ["utilization", "flow_bytes", "window_ms", "seed"] {
-        if scenario.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    let num = |field: &str| -> Result<f64, String> {
-        v.get(field)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{field} missing"))
-    };
-    let packets = num("packets")?;
+    scale_invariants(&load(doc, SCALE_BENCH_SCHEMA)?)
+}
+
+fn scale_invariants(v: &JsonValue) -> Result<ScaleDigest, String> {
+    let packets = num(v, "packets")?;
     if packets < 5_000_000.0 {
         return Err(format!("packets {packets} below the 5M floor"));
     }
-    let flows = num("flows")?;
+    let flows = num(v, "flows")?;
     if flows < 10_000.0 {
         return Err(format!("flows {flows} below the 10k floor"));
     }
-    let delivered = num("delivered")?;
-    let dropped = num("dropped")?;
+    let delivered = num(v, "delivered")?;
+    let dropped = num(v, "dropped")?;
     if delivered + dropped != packets {
         return Err(format!(
             "delivered {delivered} + dropped {dropped} != packets {packets}"
         ));
     }
-    let peak = num("peak_rss_bytes")?;
-    let budget = num("rss_budget_bytes")?;
+    let peak = num(v, "peak_rss_bytes")?;
+    let budget = num(v, "rss_budget_bytes")?;
     if peak <= 0.0 || peak > budget {
         return Err(format!(
             "peak_rss_bytes {peak} outside (0, budget {budget}]"
         ));
     }
-    if num("packets_per_sec")? <= 0.0 {
+    if num(v, "packets_per_sec")? <= 0.0 {
         return Err("packets_per_sec must be positive".into());
     }
-    let match_rate = num("replay_match_rate")?;
-    if !(0.0..=1.0).contains(&match_rate) {
-        return Err(format!("replay_match_rate {match_rate} outside [0, 1]"));
-    }
-    let frac_gt_t = num("replay_frac_gt_t")?;
-    if !(0.0..=1.0).contains(&frac_gt_t) {
-        return Err(format!("replay_frac_gt_t {frac_gt_t} outside [0, 1]"));
-    }
-    let diff = v.get("differential").ok_or("missing differential block")?;
-    if diff
-        .get("workload_packets")
-        .and_then(JsonValue::as_f64)
-        .is_none_or(|p| p < 100_000.0)
-    {
-        return Err("differential.workload_packets must be ≥ 100k".into());
-    }
-    for field in [
-        "records_identical",
-        "reports_identical",
-        "summaries_identical",
+    let match_rate = num(v, "replay_match_rate")?;
+    for (name, x) in [
+        ("replay_match_rate", match_rate),
+        ("replay_frac_gt_t", num(v, "replay_frac_gt_t")?),
     ] {
-        match diff.get(field) {
-            Some(JsonValue::Bool(true)) => {}
-            other => {
-                return Err(format!(
-                    "differential.{field} must assert true, got {other:?}"
-                ))
-            }
+        if !(0.0..=1.0).contains(&x) {
+            return Err(format!("{name} {x} outside [0, 1]"));
         }
+    }
+    let diff_packets = v
+        .get("differential")
+        .map_or(Err("differential missing".to_string()), |d| {
+            num(d, "workload_packets")
+        })?;
+    if diff_packets < 100_000.0 {
+        return Err("differential.workload_packets must be ≥ 100k".into());
     }
     Ok(ScaleDigest {
         packets: packets as u64,
@@ -833,69 +668,48 @@ pub struct TimeSeriesDigest {
     pub wall_s: f64,
 }
 
+impl fmt::Display for TimeSeriesDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} heartbeat ticks over {:.2}s, {} jobs on {} workers",
+            self.ticks, self.wall_s, self.jobs, self.workers
+        )
+    }
+}
+
 /// Validate a `*.timeseries.json` document (the run-level sweep-telemetry
 /// artifact `--telemetry` writes; schema [`ups_obs::TIMESERIES_SCHEMA`]).
-/// Dispatched from `sweep --validate` by its schema tag. Enforces a
-/// non-empty tick history with monotone `t_s`/`done`, per-worker rows on
-/// every tick, and a final completion tick where `done == total`.
+/// Enforces a non-empty tick history with monotone `t_s`/`done`,
+/// per-worker rows on every tick, and a final completion tick where
+/// `done == total`.
 pub fn validate_obs_timeseries(doc: &str) -> Result<TimeSeriesDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != ups_obs::TIMESERIES_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {:?})",
-            ups_obs::TIMESERIES_SCHEMA
-        ));
-    }
-    let num = |field: &str| -> Result<f64, String> {
-        v.get(field)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{field} missing"))
-    };
-    let workers = num("workers")?;
+    timeseries_invariants(&load(doc, ups_obs::TIMESERIES_SCHEMA)?)
+}
+
+fn timeseries_invariants(v: &JsonValue) -> Result<TimeSeriesDigest, String> {
+    let workers = num(v, "workers")?;
     if workers < 1.0 {
         return Err(format!("workers {workers} must be ≥ 1"));
     }
-    let wall_s = num("wall_s")?;
+    let wall_s = num(v, "wall_s")?;
     if wall_s < 0.0 {
         return Err(format!("wall_s {wall_s} must be ≥ 0"));
     }
-    let ticks = v
-        .get("heartbeats")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing heartbeats array")?;
-    if ticks.is_empty() {
+    let ticks = rows(v, "heartbeats")?;
+    let Some(last) = ticks.last() else {
         return Err("heartbeats empty (the completion tick always fires)".into());
-    }
+    };
     let mut last_t = f64::NEG_INFINITY;
     let mut last_done = 0.0;
-    let mut final_done = 0.0;
     for (i, tick) in ticks.iter().enumerate() {
-        let tick_schema = tick
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("tick {i}: missing schema tag"))?;
-        if tick_schema != ups_obs::HEARTBEAT_SCHEMA {
-            return Err(format!(
-                "tick {i}: unexpected schema {tick_schema:?} (expected {:?})",
-                ups_obs::HEARTBEAT_SCHEMA
-            ));
-        }
-        let field = |name: &str| -> Result<f64, String> {
-            tick.get(name)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("tick {i}: {name} missing"))
-        };
-        let t_s = field("t_s")?;
+        let t_s = num(tick, "t_s")?;
         if t_s < last_t {
             return Err(format!("tick {i}: t_s {t_s} regressed (prev {last_t})"));
         }
         last_t = t_s;
-        let done = field("done")?;
-        let total = field("total")?;
+        let done = num(tick, "done")?;
+        let total = num(tick, "total")?;
         if done > total {
             return Err(format!("tick {i}: done {done} exceeds total {total}"));
         }
@@ -905,37 +719,23 @@ pub fn validate_obs_timeseries(doc: &str) -> Result<TimeSeriesDigest, String> {
             ));
         }
         last_done = done;
-        field("jobs_per_sec")?;
-        let rows = tick
-            .get("workers")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("tick {i}: missing workers array"))?;
-        if rows.len() != workers as usize {
+        let worker_rows = rows(tick, "workers")?.len();
+        if worker_rows != workers as usize {
             return Err(format!(
-                "tick {i}: {} worker rows for a {workers}-worker pool",
-                rows.len()
+                "tick {i}: {worker_rows} worker rows for a {workers}-worker pool"
             ));
         }
-        for (w, row) in rows.iter().enumerate() {
-            for name in ["worker", "jobs", "busy_s", "utilization"] {
-                if row.get(name).and_then(JsonValue::as_f64).is_none() {
-                    return Err(format!("tick {i} worker {w}: {name} missing"));
-                }
-            }
-        }
-        if i == ticks.len() - 1 {
-            if done != total {
-                return Err(format!(
-                    "final tick: done {done} != total {total} (sweep incomplete?)"
-                ));
-            }
-            final_done = done;
-        }
+    }
+    let (done, total) = (num(last, "done")?, num(last, "total")?);
+    if done != total {
+        return Err(format!(
+            "final tick: done {done} != total {total} (sweep incomplete?)"
+        ));
     }
     Ok(TimeSeriesDigest {
         workers: workers as u64,
         ticks: ticks.len(),
-        jobs: final_done as u64,
+        jobs: done as u64,
         wall_s,
     })
 }
@@ -954,51 +754,43 @@ pub struct ObsDigest {
     pub probe_on_overhead: f64,
 }
 
+impl fmt::Display for ObsDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} packets, probe-off overhead {:+.2}% (tolerance {:.0}%), probe-on {:+.2}%",
+            self.packets,
+            self.probe_off_overhead * 100.0,
+            self.tolerance * 100.0,
+            self.probe_on_overhead * 100.0
+        )
+    }
+}
+
 /// Validate a `BENCH_obs.json` document (the `obs_overhead` bench's
-/// zero-cost-when-off artifact; schema [`OBS_BENCH_SCHEMA`]). Dispatched
-/// from `sweep --validate` by its schema tag. Enforces the issue's
-/// contract — probe-off throughput within the recorded tolerance of the
-/// un-instrumented baseline, bit-identical fingerprints across all three
-/// modes, and a non-empty sampled series in probe-on mode.
+/// zero-cost-when-off artifact; schema [`OBS_BENCH_SCHEMA`]). Enforces
+/// the contract — probe-off throughput within the recorded tolerance of
+/// the un-instrumented baseline and a non-empty sampled series in
+/// probe-on mode; the table requires `fingerprints_identical: true`.
 pub fn validate_bench_obs(doc: &str) -> Result<ObsDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != OBS_BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {OBS_BENCH_SCHEMA:?})"
-        ));
-    }
-    let scenario = v.get("scenario").ok_or("missing scenario block")?;
-    for field in ["topology", "scheduler"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    let num = |field: &str| -> Result<f64, String> {
-        v.get(field)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{field} missing"))
-    };
-    let packets = num("packets")?;
+    obs_invariants(&load(doc, OBS_BENCH_SCHEMA)?)
+}
+
+fn obs_invariants(v: &JsonValue) -> Result<ObsDigest, String> {
+    let packets = num(v, "packets")?;
     if packets <= 0.0 {
         return Err(format!("packets {packets} must be positive"));
     }
-    if num("runs")? < 1.0 {
+    if num(v, "runs")? < 1.0 {
         return Err("runs must be ≥ 1".into());
     }
-    let tolerance = num("tolerance")?;
+    let tolerance = num(v, "tolerance")?;
     if tolerance <= 0.0 {
         return Err(format!("tolerance {tolerance} must be positive"));
     }
     for mode in ["uninstrumented", "probe_off", "probe_on"] {
-        let m = v.get(mode).ok_or_else(|| format!("missing {mode} block"))?;
-        let pps = m
-            .get("packets_per_sec")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{mode}.packets_per_sec missing"))?;
+        let m = v.get(mode).ok_or_else(|| format!("{mode} missing"))?;
+        let pps = num(m, "packets_per_sec")?;
         if pps <= 0.0 {
             return Err(format!("{mode}.packets_per_sec {pps} must be positive"));
         }
@@ -1010,7 +802,7 @@ pub fn validate_bench_obs(doc: &str) -> Result<ObsDigest, String> {
     {
         return Err("probe_on.samples must be ≥ 1 (series never sampled)".into());
     }
-    let probe_off_overhead = num("probe_off_overhead")?;
+    let probe_off_overhead = num(v, "probe_off_overhead")?;
     if probe_off_overhead.abs() > tolerance {
         // Two-sided on purpose: a large *negative* overhead means
         // probe-off beat the hook-free loop, i.e. the baseline run (or
@@ -1019,20 +811,11 @@ pub fn validate_bench_obs(doc: &str) -> Result<ObsDigest, String> {
             "probe_off_overhead {probe_off_overhead} outside ±tolerance {tolerance}"
         ));
     }
-    let probe_on_overhead = num("probe_on_overhead")?;
-    match v.get("fingerprints_identical") {
-        Some(JsonValue::Bool(true)) => {}
-        other => {
-            return Err(format!(
-                "fingerprints_identical must assert true, got {other:?}"
-            ))
-        }
-    }
     Ok(ObsDigest {
         packets: packets as u64,
         tolerance,
         probe_off_overhead,
-        probe_on_overhead,
+        probe_on_overhead: num(v, "probe_on_overhead")?,
     })
 }
 
@@ -1047,118 +830,46 @@ pub struct DivergenceDigest {
     pub total_mismatches: u64,
 }
 
+impl fmt::Display for DivergenceDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} quantization rows + {} failure rows, {} mismatches attributed (conserved)",
+            self.quantization_rows, self.failure_rows, self.total_mismatches
+        )
+    }
+}
+
 /// Validate a `BENCH_divergence.json` document (the `forensics` bench's
 /// blame-distribution artifact; schema [`DIVERGENCE_BENCH_SCHEMA`]).
-/// Dispatched from the same `sweep --validate` entry point by its schema
-/// tag. Both axes must be present and non-trivial: `quantization` rows
+/// Both axes must be present and non-trivial: `quantization` rows
 /// ascend in K and end in exactly one `k: null` (exact-LSTF) row;
 /// `failures` rows ascend in rate starting from the zero-failure
-/// baseline. Every row embeds an `ups-forensics/v1` block whose cause and
-/// inversion counts each sum to the row's mismatch count.
+/// baseline. Every row's `ups-forensics/v1` block must be conserved.
 pub fn validate_bench_divergence(doc: &str) -> Result<DivergenceDigest, String> {
-    let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != DIVERGENCE_BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (expected {DIVERGENCE_BENCH_SCHEMA:?})"
-        ));
-    }
-    let scenario = v.get("scenario").ok_or("missing scenario block")?;
-    for field in ["topology", "original", "profile"] {
-        if scenario.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    for field in ["packets", "seed", "utilization"] {
-        if scenario.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("scenario.{field} missing"));
-        }
-    }
-    let mut total_mismatches = 0u64;
-    let mut row_common = |axis: &str, i: usize, r: &JsonValue| -> Result<(), String> {
-        for field in ["compared", "match_rate"] {
-            if r.get(field).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("{axis} row {i}: {field} missing"));
-            }
-        }
-        let d = match r.get("divergence") {
-            Some(d @ JsonValue::Object(_)) => d,
-            other => {
-                return Err(format!(
-                    "{axis} row {i}: divergence must be an object, got {other:?}"
-                ))
-            }
-        };
-        total_mismatches += validate_divergence_block(&format!("{axis} row {i}"), d)?;
-        Ok(())
-    };
+    divergence_invariants(&load(doc, DIVERGENCE_BENCH_SCHEMA)?)
+}
 
-    let quant = v
-        .get("quantization")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing quantization axis")?;
+fn divergence_invariants(v: &JsonValue) -> Result<DivergenceDigest, String> {
+    let quant = rows(v, "quantization")?;
     if quant.len() < 2 {
         return Err("quantization axis needs at least one finite-K row and the exact row".into());
     }
-    let mut last_k = 0.0f64;
-    let mut saw_exact = false;
-    for (i, r) in quant.iter().enumerate() {
-        match r.get("k") {
-            Some(JsonValue::Number(k)) if *k >= 1.0 => {
-                if saw_exact {
-                    return Err(format!(
-                        "quantization row {i}: finite K after the k = null exact row"
-                    ));
-                }
-                if *k <= last_k {
-                    return Err(format!(
-                        "quantization row {i}: K {k} must ascend (prev {last_k})"
-                    ));
-                }
-                last_k = *k;
-            }
-            Some(JsonValue::Null) => {
-                if saw_exact {
-                    return Err("more than one k = null (exact) row".into());
-                }
-                saw_exact = true;
-            }
-            other => return Err(format!("quantization row {i}: bad k {other:?}")),
-        }
-        row_common("quantization", i, r)?;
-    }
-    if !saw_exact {
-        return Err("quantization axis lacks the k = null (exact) row".into());
-    }
-
-    let failures = v
-        .get("failures")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing failures axis")?;
+    k_axis("quantization", quant)?;
+    let failures = rows(v, "failures")?;
     if failures.len() < 2 {
         return Err("failures axis needs the zero-failure row and one churn row".into());
     }
-    let mut last_rate = f64::NEG_INFINITY;
-    for (i, r) in failures.iter().enumerate() {
-        let rate = r
-            .get("rate")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("failures row {i}: rate missing"))?;
-        if !(0.0..=1.0).contains(&rate) || rate <= last_rate {
-            return Err(format!(
-                "failures row {i}: rate {rate} must ascend within [0, 1] (prev {last_rate})"
-            ));
+    rate_axis("failures", failures)?;
+    let mut total_mismatches = 0;
+    for (axis, axis_rows) in [("quantization", quant), ("failures", failures)] {
+        for (i, r) in axis_rows.iter().enumerate() {
+            let d = r
+                .get("divergence")
+                .ok_or_else(|| format!("{axis}[{i}].divergence missing"))?;
+            total_mismatches += conserved(&format!("{axis}[{i}]"), d)?;
         }
-        if i == 0 && rate != 0.0 {
-            return Err("first failures row must be the zero-failure baseline".into());
-        }
-        last_rate = rate;
-        row_common("failures", i, r)?;
     }
-
     Ok(DivergenceDigest {
         quantization_rows: quant.len(),
         failure_rows: failures.len(),
@@ -1170,6 +881,7 @@ pub fn validate_bench_divergence(doc: &str) -> Result<DivergenceDigest, String> 
 mod tests {
     use super::*;
     use crate::grid::JobSpec;
+    use crate::runner::RECORD_SCHEMA;
     use ups_metrics::RunSummary;
     use ups_netsim::prelude::Dur;
 
@@ -1342,8 +1054,14 @@ mod tests {
         let future = good.replace("ups-sweep-record/v5", "ups-sweep-record/v9");
         let err = validate_bench_sweep(&future).unwrap_err();
         assert!(
-            err.contains("ups-sweep-record/v9") && err.contains("unexpected record schema"),
+            err.contains("ups-sweep-record/v9") && err.starts_with("results[0].schema: unexpected"),
             "unhelpful error: {err}"
+        );
+        // Key-exact: a key the record table does not list is rejected.
+        let stray = good.replace(r#""job_id":0,"#, r#""job_id":0,"extra":1,"#);
+        assert_eq!(
+            validate_bench_sweep(&stray).unwrap_err(),
+            "results[0].extra: key not in the schema"
         );
         // A bogus traffic label is caught.
         let bad_traffic = good.replace(r#""traffic":"open-loop""#, r#""traffic":"sideways""#);
@@ -1355,8 +1073,8 @@ mod tests {
     #[test]
     fn v1_through_v5_artifacts_all_validate() {
         // A current artifact with open-loop, closed-loop, quantized and
-        // failure records (v5 record lines inside the v5 aggregate —
-        // each line is validated against its own tag).
+        // failure records: v5 record lines inside the v5 aggregate, the
+        // only versions accepted.
         let records = [
             record(0),
             closed_record(1),
@@ -1366,6 +1084,11 @@ mod tests {
         let stats = pool_stats(1, 4);
         let current_doc = bench_sweep_json(&grid(), &records, &stats, 1.0);
         validate_bench_sweep(&current_doc).expect("current artifact validates");
+        // Retired record versions are rejected on their tag.
+        let retired = current_doc.replace(RECORD_SCHEMA, "ups-sweep-record/v4");
+        assert!(validate_bench_sweep(&retired)
+            .unwrap_err()
+            .starts_with("results[0].schema: unexpected \"ups-sweep-record/v4\""));
         // The forensics conservation law: inflating one cause count
         // breaks Σ causes == mismatches and must be rejected.
         let unconserved = current_doc.replace(r#""overdue_within_t":6"#, r#""overdue_within_t":7"#);
@@ -1382,9 +1105,10 @@ mod tests {
             r#""divergence":{"schema":"ups-forensics/v1","#,
             r#""divergence":{"#,
         );
-        assert!(validate_bench_sweep(&untagged)
-            .unwrap_err()
-            .contains("schema tag"));
+        assert_eq!(
+            validate_bench_sweep(&untagged).unwrap_err(),
+            "results[2].metrics.divergence.schema missing"
+        );
         // queues and mapper must travel together.
         let torn = current_doc.replace(
             r#""queues":8,"mapper":"dynamic""#,
@@ -1426,124 +1150,21 @@ mod tests {
         assert!(validate_bench_sweep(&sprouted)
             .unwrap_err()
             .contains("static-network"));
-
-        // A hand-rolled v2 artifact (pre-queues-axis) still validates.
-        let v2_doc = r#"{
-  "schema": "ups-sweep/v2",
-  "grid": {"topologies": ["Line(3)"]},
-  "workers": 1,
-  "steals": 0,
-  "jobs": 1,
-  "wall_s": 1.0,
-  "jobs_per_sec": 1.0,
-  "results": [
-    {"schema": "ups-sweep-record/v2", "job_id": 0,
-     "scenario": {"topology": "Line(3)", "profile": "web-search", "scheduler": "FIFO",
-                  "traffic": "open-loop", "rest_bps": null, "utilization": 0.7,
-                  "seed": 1, "window_ms": 1, "horizon_ms": null, "buffer_bytes": null,
-                  "replay": false, "max_packets": null},
-     "metrics": {"flows": 1, "packets": 10, "delivered": 10, "dropped": 0,
-                 "delay_mean_s": 0.001, "delay_p99_s": 0.002, "fct_mean_s": 0.1,
-                 "jain": 1.0, "replay_match_rate": null, "replay_frac_gt_t": null,
-                 "transport": null, "fct_buckets": []},
-     "wall_s": 0.5}
-  ]
-}"#;
-        validate_bench_sweep(v2_doc).expect("v2 artifact still validates");
-
-        // A hand-rolled v1 artifact (numeric jain, no traffic/transport)
-        // — the form every pre-traffic-axis BENCH_sweep.json has.
-        let v1_doc = r#"{
-  "schema": "ups-sweep/v1",
-  "grid": {"topologies": ["Line(3)"]},
-  "workers": 1,
-  "steals": 0,
-  "jobs": 1,
-  "wall_s": 1.0,
-  "jobs_per_sec": 1.0,
-  "results": [
-    {"schema": "ups-sweep-record/v1", "job_id": 0,
-     "scenario": {"topology": "Line(3)", "profile": "web-search", "scheduler": "FIFO",
-                  "utilization": 0.7, "seed": 1, "window_ms": 1, "replay": false,
-                  "max_packets": null},
-     "metrics": {"flows": 1, "packets": 10, "delivered": 10, "dropped": 0,
-                 "delay_mean_s": 0.001, "delay_p99_s": 0.002, "fct_mean_s": 0.1,
-                 "jain": 1.0, "replay_match_rate": null, "replay_frac_gt_t": null,
-                 "fct_buckets": []},
-     "wall_s": 0.5}
-  ]
-}"#;
-        validate_bench_sweep(v1_doc).expect("v1 artifact still validates");
-        // But a v1 record may not drop jain.
-        let broken = v1_doc.replace(r#""jain": 1.0"#, r#""joan": 1.0"#);
-        assert!(validate_bench_sweep(&broken).unwrap_err().contains("jain"));
-
-        // A hand-rolled v3 artifact (pre-failure-axis) still validates.
-        let v3_doc = r#"{
-  "schema": "ups-sweep/v3",
-  "grid": {"topologies": ["Line(3)"]},
-  "workers": 1,
-  "steals": 0,
-  "jobs": 1,
-  "wall_s": 1.0,
-  "jobs_per_sec": 1.0,
-  "results": [
-    {"schema": "ups-sweep-record/v3", "job_id": 0,
-     "scenario": {"topology": "Line(3)", "profile": "web-search", "scheduler": "FIFO",
-                  "traffic": "open-loop", "rest_bps": null, "utilization": 0.7,
-                  "seed": 1, "window_ms": 1, "horizon_ms": null, "buffer_bytes": null,
-                  "replay": false, "queues": null, "mapper": null, "max_packets": null},
-     "metrics": {"flows": 1, "packets": 10, "delivered": 10, "dropped": 0,
-                 "delay_mean_s": 0.001, "delay_p99_s": 0.002, "fct_mean_s": 0.1,
-                 "jain": 1.0, "replay_match_rate": null, "replay_frac_gt_t": null,
-                 "quantized_match_rate": null, "quantized_frac_gt_t": null,
-                 "quantized_fct_delta_s": null, "transport": null, "fct_buckets": []},
-     "wall_s": 0.5}
-  ]
-}"#;
-        validate_bench_sweep(v3_doc).expect("v3 artifact still validates");
-
-        // A hand-rolled v4 record (pre-forensics) still validates: the
-        // divergence block is a v5 surface, so its absence is fine.
-        let v4_compat_doc = r#"{
-  "schema": "ups-sweep/v4",
-  "grid": {"topologies": ["Line(3)"]},
-  "workers": 1,
-  "steals": 0,
-  "jobs": 1,
-  "wall_s": 1.0,
-  "jobs_per_sec": 1.0,
-  "results": [
-    {"schema": "ups-sweep-record/v4", "job_id": 0,
-     "scenario": {"topology": "Line(3)", "profile": "web-search", "scheduler": "FIFO",
-                  "traffic": "open-loop", "rest_bps": null, "utilization": 0.7,
-                  "seed": 1, "window_ms": 1, "horizon_ms": null, "buffer_bytes": null,
-                  "replay": false, "queues": null, "mapper": null,
-                  "failures": null, "inflight": null, "max_packets": null},
-     "metrics": {"flows": 1, "packets": 10, "delivered": 10, "dropped": 0,
-                 "delay_mean_s": 0.001, "delay_p99_s": 0.002, "fct_mean_s": 0.1,
-                 "jain": 1.0, "replay_match_rate": null, "replay_frac_gt_t": null,
-                 "quantized_match_rate": null, "quantized_frac_gt_t": null,
-                 "quantized_fct_delta_s": null, "transport": null, "disruption": null,
-                 "fct_buckets": []},
-     "wall_s": 0.5}
-  ]
-}"#;
-        validate_bench_sweep(v4_compat_doc).expect("v4 artifact still validates");
     }
 
     const FAIL_DOC: &str = r#"{
   "schema": "ups-bench-failures/v1",
   "scenario": {"topology": "FatTree(k=4)", "original": "Random", "profile": "random-links",
-               "inflight": "reroute", "utilization": 0.7, "seed": 42, "packets": 20000},
+               "inflight": "reroute", "utilization": 0.7, "seed": 42, "packets": 20000,
+               "flows": 30, "window_ms": 8.000},
   "results": [
     {"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
-     "delivered": 20000, "match_rate": 0.99, "frac_gt_t": 0.001,
+     "delivered": 20000, "match_rate": 0.99, "frac_gt_t": 0.001, "max_lateness_us": 4.8,
      "bit_identical_to_static_routing": true},
     {"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
-     "delivered": 19988, "match_rate": 0.93, "frac_gt_t": 0.02},
+     "delivered": 19988, "match_rate": 0.93, "frac_gt_t": 0.02, "max_lateness_us": 4.8},
     {"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
-     "delivered": 19940, "match_rate": 0.81, "frac_gt_t": 0.09}
+     "delivered": 19940, "match_rate": 0.81, "frac_gt_t": 0.09, "max_lateness_us": 4.8}
   ]
 }"#;
 
@@ -1559,7 +1180,7 @@ mod tests {
             }
         );
         assert!(validate_bench_failures("{}").is_err());
-        let wrong = FAIL_DOC.replace("ups-bench-failures/v1", "ups-sweep/v4");
+        let wrong = FAIL_DOC.replace("ups-bench-failures/v1", "ups-sweep/v5");
         assert!(validate_bench_failures(&wrong)
             .unwrap_err()
             .contains("schema"));
@@ -1596,7 +1217,8 @@ mod tests {
             r#"{{
   "schema": "ups-bench-divergence/v1",
   "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "profile": "fixed-mtu",
-               "utilization": 0.7, "seed": 42, "packets": 20000}},
+               "utilization": 0.7, "seed": 42, "packets": 20000, "flows": 30,
+               "window_ms": 8.000}},
   "quantization": [
     {{"k": 1, "compared": 20000, "match_rate": 0.42, "divergence": {d}}},
     {{"k": 8, "compared": 20000, "match_rate": 0.9, "divergence": {d}}},
@@ -1624,7 +1246,7 @@ mod tests {
             }
         );
         assert!(validate_bench_divergence("{}").is_err());
-        let wrong = doc.replace("ups-bench-divergence/v1", "ups-sweep/v4");
+        let wrong = doc.replace("ups-bench-divergence/v1", "ups-sweep/v5");
         assert!(validate_bench_divergence(&wrong)
             .unwrap_err()
             .contains("schema"));
@@ -1650,9 +1272,10 @@ mod tests {
         // Both axes are mandatory — a one-axis artifact is not "both
         // axes present", which the issue's acceptance criterion demands.
         let axisless = doc.replace(r#""failures""#, r#""failurez""#);
-        assert!(validate_bench_divergence(&axisless)
-            .unwrap_err()
-            .contains("failures axis"));
+        assert_eq!(
+            validate_bench_divergence(&axisless).unwrap_err(),
+            "failures missing"
+        );
     }
 
     #[test]
@@ -1668,12 +1291,15 @@ mod tests {
     const QUANT_DOC: &str = r#"{
   "schema": "ups-bench-quantized/v1",
   "scenario": {"topology": "FatTree(k=4)", "original": "Random", "mapper": "dynamic",
-               "utilization": 0.7, "seed": 42, "packets": 20000},
+               "utilization": 0.7, "seed": 42, "packets": 20000, "flows": 30,
+               "window_ms": 8.000},
   "results": [
-    {"k": 1, "match_rate": 0.42, "frac_gt_t": 0.3, "mean_fct_s": 0.011},
-    {"k": 8, "match_rate": 0.9, "frac_gt_t": 0.01, "mean_fct_s": 0.009},
-    {"k": null, "match_rate": 0.99, "frac_gt_t": 0.0, "mean_fct_s": 0.008,
-     "bit_identical_to_exact_lstf": true}
+    {"k": 1, "match_rate": 0.42, "frac_gt_t": 0.3, "mean_fct_s": 0.011, "missing": 0,
+     "max_lateness_us": 900.5},
+    {"k": 8, "match_rate": 0.9, "frac_gt_t": 0.01, "mean_fct_s": 0.009, "missing": 0,
+     "max_lateness_us": 120.25},
+    {"k": null, "match_rate": 0.99, "frac_gt_t": 0.0, "mean_fct_s": 0.008, "missing": 0,
+     "max_lateness_us": 4.8, "bit_identical_to_exact_lstf": true}
   ]
 }"#;
 
@@ -1737,7 +1363,7 @@ mod tests {
             }
         );
         assert!(validate_bench_scale("{}").is_err());
-        let wrong = SCALE_DOC.replace("ups-bench-scale/v1", "ups-sweep/v4");
+        let wrong = SCALE_DOC.replace("ups-bench-scale/v1", "ups-sweep/v5");
         assert!(validate_bench_scale(&wrong).unwrap_err().contains("schema"));
         // The issue's floors are part of validity, not just presence.
         let small = SCALE_DOC.replace(r#""packets": 5401700"#, r#""packets": 400000"#);
@@ -1831,6 +1457,7 @@ mod tests {
   "schema": "ups-bench-obs/v1",
   "scenario": {"topology": "FatTree(4)", "scheduler": "LSTF", "utilization": 0.7, "seed": 42},
   "packets": 250000,
+  "flows": 92,
   "runs": 3,
   "tolerance": 0.02,
   "uninstrumented": {"packets_per_sec": 1000000.0, "best_s": 0.25},
@@ -1887,6 +1514,135 @@ mod tests {
         assert!(validate_bench_obs(&unsampled)
             .unwrap_err()
             .contains("samples"));
+    }
+
+    #[test]
+    fn count_fields_reject_negative_and_fractional_values() {
+        let stats = pool_stats(1, 0);
+        let empty = bench_sweep_json(&grid(), &[], &stats, 1.0)
+            .replace(r#""jobs_per_sec": 0"#, r#""jobs_per_sec": 1"#);
+        validate_bench_sweep(&empty).expect("an empty sweep is well-formed");
+        // `-5.0 as usize` is 0, so a lenient reader would call this a
+        // valid empty sweep; the count kind rejects it on the field.
+        for bad in ["-5", "2.5", "null"] {
+            let doc = empty.replace(r#""jobs": 0"#, &format!(r#""jobs": {bad}"#));
+            let err = validate_bench_sweep(&doc).unwrap_err();
+            assert!(err.starts_with("jobs: expected a count"), "{bad}: {err}");
+        }
+        let doc = empty.replace(r#""workers": 1"#, r#""workers": -1"#);
+        assert!(validate_bench_sweep(&doc)
+            .unwrap_err()
+            .starts_with("workers: expected a count"));
+    }
+
+    #[test]
+    fn emitters_round_trip_through_their_tables() {
+        // Every record shape the runner writes walks the record table
+        // key-exactly, and so does each block on its own.
+        let records = [
+            record(0),
+            closed_record(1),
+            quantized_record(2),
+            failure_record(3),
+        ];
+        for r in &records {
+            let line = parse(&r.to_json(true)).unwrap();
+            schema::walk(&line, schema::RECORD, "record").unwrap();
+            let metrics = parse(&r.summary.to_json()).unwrap();
+            schema::walk(&metrics, schema::RUN_SUMMARY, "metrics").unwrap();
+        }
+        let divergence = records[2].summary.divergence.as_ref().unwrap();
+        schema::walk(
+            &parse(&divergence.to_json()).unwrap(),
+            schema::FORENSICS,
+            "d",
+        )
+        .unwrap();
+        // The paper-default grid carries excludes, so the exclude rows
+        // are covered too.
+        let paper_grid = ScenarioGrid::default();
+        assert!(!paper_grid.excludes.is_empty());
+        schema::walk(&parse(&paper_grid.to_json()).unwrap(), schema::GRID, "grid").unwrap();
+        // Telemetry: a tick before any job finished (eta null) and after.
+        let row = ups_obs::WorkerRow {
+            worker: 0,
+            jobs: 1,
+            busy_s: 0.5,
+            utilization: 0.5,
+        };
+        let ticks = [
+            ups_obs::HeartbeatRecord {
+                t_s: 0.5,
+                done: 0,
+                total: 1,
+                jobs_per_sec: 0.0,
+                eta_s: None,
+                workers: vec![row],
+            },
+            ups_obs::HeartbeatRecord {
+                t_s: 1.0,
+                done: 1,
+                total: 1,
+                jobs_per_sec: 1.0,
+                eta_s: Some(0.0),
+                workers: vec![row],
+            },
+        ];
+        let doc = ups_obs::heartbeat::timeseries_json(&ticks, 1, 1.0);
+        validate_obs_timeseries(&doc).expect("emitted time series validates");
+        schema::walk(
+            &parse(&ticks[0].to_json()).unwrap(),
+            schema::HEARTBEAT,
+            "tick",
+        )
+        .unwrap();
+    }
+
+    const THROUGHPUT_DOC: &str = r#"{
+  "schema": "ups-bench-throughput/v1",
+  "scenario": {"topology": "FatTree(k=4)", "scheduler": "FIFO", "utilization": 0.7,
+               "window_ms": 16, "seed": 42, "flows": 92, "packets": 1000, "delivered": 1000},
+  "results": [
+    {"impl": "heap_baseline", "description": "old", "runs": 3, "best_wall_s": 0.5,
+     "packets_per_sec": 2000, "events_per_sec": 20000, "delivered": 1000},
+    {"impl": "arena_calendar", "description": "new", "runs": 3, "best_wall_s": 0.25,
+     "packets_per_sec": 4000, "events_per_sec": 40000, "delivered": 1000}
+  ],
+  "speedup_packets_per_sec": 2.0
+}"#;
+
+    #[test]
+    fn every_artifact_family_dispatches_by_tag() {
+        let stats = pool_stats(2, 1);
+        let sweep = bench_sweep_json(&grid(), &[record(0)], &stats, 1.0);
+        let divergence = divergence_doc();
+        let docs = [
+            (SWEEP_SCHEMA, sweep.as_str()),
+            (THROUGHPUT_BENCH_SCHEMA, THROUGHPUT_DOC),
+            (QUANTIZED_BENCH_SCHEMA, QUANT_DOC),
+            (FAILURES_BENCH_SCHEMA, FAIL_DOC),
+            (SCALE_BENCH_SCHEMA, SCALE_DOC),
+            (OBS_BENCH_SCHEMA, OBS_DOC),
+            (DIVERGENCE_BENCH_SCHEMA, divergence.as_str()),
+            (ups_obs::TIMESERIES_SCHEMA, TIMESERIES_DOC),
+        ];
+        assert_eq!(docs.len(), ARTIFACTS.len(), "one fixture per family");
+        for (tag, doc) in docs {
+            assert!(ARTIFACTS.iter().any(|a| a.tag == tag), "{tag} registered");
+            validate_artifact(doc).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        }
+        assert_eq!(
+            validate_artifact(r#"{"schema": "ups-nothing/v1"}"#)
+                .unwrap_err()
+                .split(" (")
+                .next(),
+            Some(r#"unknown schema "ups-nothing/v1""#)
+        );
+        // The engines must have simulated the same schedule.
+        let diverged = THROUGHPUT_DOC.replacen(r#""delivered": 1000}"#, r#""delivered": 999}"#, 1);
+        assert!(validate_artifact(&diverged)
+            .unwrap_err()
+            .starts_with("results[0].delivered differs"));
     }
 
     #[test]

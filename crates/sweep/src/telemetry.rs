@@ -185,10 +185,8 @@ mod tests {
         assert_eq!(lines.len(), records.len());
         for line in lines {
             let v = crate::json::parse(line).expect("heartbeat line parses");
-            assert_eq!(
-                v.get("schema").and_then(|s| s.as_str()),
-                Some(ups_obs::HEARTBEAT_SCHEMA)
-            );
+            crate::schema::walk(&v, crate::schema::HEARTBEAT, "tick")
+                .expect("heartbeat line matches its table");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,8 +4,8 @@
 //!
 //! A job is a pure function of its `JobSpec`, so executing the same
 //! `ScenarioGrid` with 1 worker and with 4 workers must produce
-//! byte-identical sorted result records — regardless of which worker ran
-//! which job, in what order, or what got stolen.
+//! byte-identical sorted result records — regardless of which worker
+//! claimed which job from the shared cursor, or in what order.
 
 use ups_netsim::prelude::Dur;
 use ups_sweep::{pool, runner, store, PoolStats, ScenarioGrid};
@@ -181,8 +181,8 @@ fn failure_axis_grid_is_deterministic_across_worker_counts() {
 
 #[test]
 fn repeated_parallel_runs_agree_too() {
-    // Same worker count twice: steal patterns may differ run to run, the
-    // records must not.
+    // Same worker count twice: which worker claims which job may differ
+    // run to run, the records must not.
     let (a, _) = sorted_records(4);
     let (b, _) = sorted_records(4);
     assert_eq!(a, b);
@@ -195,7 +195,7 @@ fn aggregate_artifact_from_parallel_run_validates() {
     let t0 = std::time::Instant::now();
     let (records, stats) = pool::run_jobs(&jobs, 4, |_, spec| runner::run_job(spec));
     let doc = store::bench_sweep_json(&grid, &records, &stats, t0.elapsed().as_secs_f64());
-    let digest = store::validate_bench_sweep(&doc).expect("artifact conforms to ups-sweep/v3");
+    let digest = store::validate_bench_sweep(&doc).expect("artifact conforms to ups-sweep/v5");
     assert_eq!(digest.jobs, 16);
     assert!(digest.jobs_per_sec > 0.0);
 }

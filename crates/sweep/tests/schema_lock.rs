@@ -1,26 +1,27 @@
-//! The committed artifacts, the validators and `SCHEMAS.lock` must
-//! agree: every JSON key a committed `BENCH_*.json` artifact actually
-//! carries appears in the lockfile surface of its schema tag. The lock
-//! is extracted from the *emitters* (the `lint:schema` annotations), so
-//! this closes the triangle — emitter annotations ↔ lockfile ↔ shipped
-//! artifacts. A key in an artifact but missing from the lock means an
-//! emitter lost its annotation (or the artifact was written by code the
-//! lock does not cover); both deserve a red test.
-//!
-//! The lock may be a *superset* of any one artifact: optional fields
-//! (`disruption`, `eta_s`, quantized metrics) appear only under some
-//! scenarios.
-//!
-//! A committed artifact may also predate its emitter's latest tag bump.
-//! [`RETIRED_TAGS`] states exactly which keys such a tag carries beyond
-//! its successor's surface, so the check stays key-exact for it too.
+//! The committed artifacts and the schema field tables must agree. The
+//! tables in `crates/sweep/src/schema.rs`, reached through the tag
+//! registry behind `ups_sweep::validate_artifact` (the same path as
+//! `sweep --validate`), are the schema lock: every committed
+//! `BENCH_*.json` artifact validates key-exactly through that dispatch,
+//! every `"schema"` tag it carries is one a table knows, and neither the
+//! parser nor the validators panic on truncated or byte-mutated copies of
+//! those artifacts.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ups_lint::schemas::json_keys;
-use ups_lint::{parse_lock, SurfaceMap};
+use proptest::prelude::*;
+use ups_metrics::FORENSICS_SCHEMA;
+use ups_sweep::json::parse;
+use ups_sweep::{
+    validate_artifact, DIVERGENCE_BENCH_SCHEMA, FAILURES_BENCH_SCHEMA, OBS_BENCH_SCHEMA,
+    QUANTIZED_BENCH_SCHEMA, RECORD_SCHEMA, SCALE_BENCH_SCHEMA, SWEEP_SCHEMA,
+    THROUGHPUT_BENCH_SCHEMA,
+};
+
+/// Committed `BENCH_*` files that are not schema-tagged artifacts: the
+/// Perfetto trace-event export of the obs bench.
+const UNTAGGED: &[&str] = &["BENCH_obs_trace.json"];
 
 fn repo_root() -> PathBuf {
     // crates/sweep → workspace root.
@@ -31,177 +32,141 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Tags no emitter writes any more but a committed artifact still
-/// carries: `(retired tag, the tag that replaced it, keys the retired
-/// tag has beyond its successor's locked surface)`. The validator keeps
-/// accepting each one (`ups_sweep::ACCEPTED_SWEEP_SCHEMAS`).
-const RETIRED_TAGS: &[(&str, &str, &[&str])] = &[
-    // v5 dropped the work-stealing pool's steal count.
-    ("ups-sweep/v4", "ups-sweep/v5", &["steals"]),
+/// `(file name, contents)` of every tagged `BENCH_*.json` at the root,
+/// sorted by name.
+fn committed_artifacts() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = fs::read_dir(repo_root())
+        .expect("read repo root")
+        .map(|e| e.expect("dir entry").path())
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?.to_string();
+            (name.starts_with("BENCH_") && name.ends_with(".json")).then_some((name, p))
+        })
+        .filter(|(name, _)| !UNTAGGED.contains(&name.as_str()))
+        .map(|(name, p)| {
+            let text = fs::read_to_string(&p).expect("read artifact");
+            (name, text)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The committed artifact of each family, with the tag it must carry.
+const FAMILIES: [(&str, &str); 7] = [
+    ("BENCH_divergence.json", DIVERGENCE_BENCH_SCHEMA),
+    ("BENCH_failures.json", FAILURES_BENCH_SCHEMA),
+    ("BENCH_obs.json", OBS_BENCH_SCHEMA),
+    ("BENCH_quantized.json", QUANTIZED_BENCH_SCHEMA),
+    ("BENCH_scale.json", SCALE_BENCH_SCHEMA),
+    ("BENCH_sweep.json", SWEEP_SCHEMA),
+    ("BENCH_throughput.json", THROUGHPUT_BENCH_SCHEMA),
 ];
 
-fn lock() -> SurfaceMap {
-    let text = fs::read_to_string(repo_root().join("SCHEMAS.lock"))
-        .expect("SCHEMAS.lock is committed at the repo root");
-    parse_lock(&text).expect("SCHEMAS.lock parses")
-}
-
-/// Keys of an artifact document: `json_keys` over the raw text. The
-/// artifacts are trusted well-formed here — `sweep --validate` (its own
-/// CI step and `store::validate_*` tests) checks structure and values.
-fn artifact_keys(name: &str) -> BTreeSet<String> {
+/// Validate the committed artifact `name` through the dispatch and assert
+/// it carries `tag`.
+fn assert_covered(name: &str, tag: &str) {
     let text = fs::read_to_string(repo_root().join(name))
         .unwrap_or_else(|e| panic!("committed artifact {name}: {e}"));
-    json_keys(&text).into_iter().collect()
-}
-
-/// Assert every key in `artifact` is covered by the union of the lock
-/// surfaces of `tags`.
-fn assert_covered(artifact: &str, tags: &[&str]) {
-    let lock = lock();
-    let mut allowed: BTreeSet<&str> = BTreeSet::new();
-    for tag in tags {
-        let (tag, extra): (&str, &[&str]) = RETIRED_TAGS
-            .iter()
-            .find(|(retired, _, _)| retired == tag)
-            .map_or((*tag, &[]), |&(_, successor, extra)| (successor, extra));
-        let surface = lock
-            .get(tag)
-            .unwrap_or_else(|| panic!("{tag} missing from SCHEMAS.lock"));
-        allowed.extend(surface.iter().map(String::as_str));
-        allowed.extend(extra);
-    }
-    let missing: Vec<String> = artifact_keys(artifact)
-        .into_iter()
-        .filter(|k| !allowed.contains(k.as_str()))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "{artifact} carries keys outside the SCHEMAS.lock surface of {tags:?}: {missing:?} — \
-         an emitter lost its lint:schema annotation, or the lock is stale \
-         (cargo run -p ups-lint -- --update)"
+    let summary = validate_artifact(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(!summary.is_empty(), "{name}: empty summary");
+    let doc = parse(&text).expect("validated artifacts parse");
+    assert_eq!(
+        doc.get("schema").and_then(|s| s.as_str()),
+        Some(tag),
+        "{name} is not on its family's current tag"
     );
 }
 
 #[test]
 fn sweep_artifact_is_covered_by_the_lock() {
-    // The envelope (whatever ups-sweep/vN the committed artifact
-    // declares) embeds one record line per job (ups-sweep-record/v5),
-    // each of which may embed a forensics block (ups-forensics/v1), so
-    // the artifact's keys live in the union.
-    let text = fs::read_to_string(repo_root().join("BENCH_sweep.json")).expect("committed");
-    let doc = ups_sweep::json::parse(&text).expect("BENCH_sweep.json parses");
-    let envelope = doc
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .expect("envelope schema tag");
-    assert_covered(
-        "BENCH_sweep.json",
-        &[envelope, "ups-sweep-record/v5", "ups-forensics/v1"],
-    );
+    // The envelope embeds one record line per job, each of which may
+    // embed a forensics block; the walk covers all three tables.
+    assert_covered("BENCH_sweep.json", SWEEP_SCHEMA);
 }
 
 #[test]
 fn bench_artifacts_are_covered_by_the_lock() {
-    for (artifact, tag) in [
-        ("BENCH_throughput.json", "ups-bench-throughput/v1"),
-        ("BENCH_quantized.json", "ups-bench-quantized/v1"),
-        ("BENCH_failures.json", "ups-bench-failures/v1"),
-        ("BENCH_scale.json", "ups-bench-scale/v1"),
-        ("BENCH_obs.json", "ups-bench-obs/v1"),
-    ] {
-        assert_covered(artifact, &[tag]);
+    for (name, tag) in FAMILIES {
+        if name != "BENCH_sweep.json" {
+            assert_covered(name, tag);
+        }
     }
-    // The divergence bench embeds one forensics block per row.
-    assert_covered(
-        "BENCH_divergence.json",
-        &["ups-bench-divergence/v1", "ups-forensics/v1"],
-    );
 }
 
 #[test]
 fn every_artifact_schema_tag_is_locked() {
-    let lock = lock();
-    for artifact in [
-        "BENCH_sweep.json",
-        "BENCH_throughput.json",
-        "BENCH_quantized.json",
-        "BENCH_failures.json",
-        "BENCH_scale.json",
-        "BENCH_obs.json",
-        "BENCH_divergence.json",
-    ] {
-        let text = fs::read_to_string(repo_root().join(artifact)).expect("committed artifact");
-        // Every `"schema": "<tag>"` value in the document (the envelope
-        // plus, for the sweep artifact, each embedded record line).
+    // One committed artifact per family, and nothing else tagged.
+    let names: Vec<String> = committed_artifacts().into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, FAMILIES.map(|(n, _)| n.to_string()));
+    let known: Vec<&str> = FAMILIES
+        .iter()
+        .map(|&(_, tag)| tag)
+        .chain([RECORD_SCHEMA, FORENSICS_SCHEMA])
+        .collect();
+    for (name, text) in committed_artifacts() {
+        // Every `"schema": "<tag>"` value in the document: the envelope
+        // plus any embedded record lines and forensics blocks.
         let mut found = 0;
-        for part in text.split("\"schema\"") {
+        for part in text.split("\"schema\"").skip(1) {
             let Some(rest) = part.trim_start().strip_prefix(':') else {
                 continue;
             };
-            let rest = rest.trim_start().trim_start_matches('"');
-            let Some(tag) = rest.split('"').next() else {
-                continue;
-            };
+            let tag = rest
+                .trim_start()
+                .trim_start_matches('"')
+                .split('"')
+                .next()
+                .unwrap_or_default();
             found += 1;
             assert!(
-                lock.contains_key(tag) || RETIRED_TAGS.iter().any(|(r, _, _)| *r == tag),
-                "{artifact} declares schema {tag:?} which SCHEMAS.lock does not cover"
+                known.contains(&tag),
+                "{name} declares schema {tag:?} which no field table covers"
             );
         }
-        assert!(found > 0, "{artifact} carries no schema tag");
+        assert!(found > 0, "{name} declares no schema tag");
     }
 }
 
-#[test]
-fn validator_required_fields_are_locked() {
-    // The hand-maintained validators in store.rs demand these fields by
-    // name; each must be part of the locked emitter surface, or the
-    // validator would reject what the emitters produce.
-    let lock = lock();
-    let envelope = &lock["ups-sweep/v5"];
-    for field in [
-        "schema",
-        "grid",
-        "workers",
-        "jobs",
-        "wall_s",
-        "jobs_per_sec",
-        "results",
-    ] {
-        assert!(
-            envelope.contains(field),
-            "ups-sweep/v5 lock misses required field {field}"
-        );
+/// The largest prefix of `text` no longer than `len` bytes that ends on a
+/// char boundary.
+fn truncated(text: &str, len: usize) -> &str {
+    let mut end = len.min(text.len());
+    while !text.is_char_boundary(end) {
+        end -= 1;
     }
-    let record = &lock["ups-sweep-record/v5"];
-    for field in [
-        "schema",
-        "job_id",
-        "scenario",
-        "metrics",
-        "failures",
-        "inflight",
-        "disruption",
-        "divergence",
-    ] {
-        assert!(
-            record.contains(field),
-            "ups-sweep-record/v5 lock misses required field {field}"
-        );
-    }
-    // The forensics block's conservation-checked fields.
-    let forensics = &lock["ups-forensics/v1"];
-    for field in [
-        "mismatches",
-        "overdue_within_t",
-        "bucket_collision",
-        "exit_only",
-        "top_nodes",
-    ] {
-        assert!(
-            forensics.contains(field),
-            "ups-forensics/v1 lock misses required field {field}"
-        );
+    &text[..end]
+}
+
+/// Bytes that move a JSON document between shapes: structure, quoting,
+/// escapes, signs, exponents, and a non-ASCII lead byte.
+const SPLICE: [u8; 16] = [
+    b'{', b'}', b'[', b']', b'"', b'\\', b',', b':', b'-', b'.', b'e', b'0', b'n', b't', b' ', 0xC3,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+    #[test]
+    fn truncated_and_mutated_artifacts_never_panic(
+        pick in 0usize..64,
+        cut in 0usize..1_000_000,
+        at in (0usize..1_000_000, 0usize..1_000_000),
+        with in (proptest::sample::select(&SPLICE), 0u8..=255),
+    ) {
+        let artifacts = committed_artifacts();
+        let (_, text) = &artifacts[pick % artifacts.len()];
+        // Truncation anywhere: an Err (or, at the very end, Ok) — the
+        // call returning at all is the property.
+        let prefix = truncated(text, cut % (text.len() + 1));
+        let _ = parse(prefix);
+        let _ = validate_artifact(prefix);
+        // Two byte overwrites: one structural, one arbitrary.
+        let mut bytes = text.clone().into_bytes();
+        let n = bytes.len();
+        bytes[at.0 % n] = with.0;
+        bytes[at.1 % n] = with.1;
+        let mutated = String::from_utf8_lossy(&bytes);
+        let _ = parse(&mutated);
+        let _ = validate_artifact(&mutated);
     }
 }
