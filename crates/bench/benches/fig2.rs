@@ -10,19 +10,12 @@
 //! Output: per scheme, the overall mean FCT (the figure's legend) and one
 //! row per Figure 2 size bucket.
 
-use ups_bench::{figure_setup, run_fct_experiment, FctScheme};
+use ups_bench::{env_knob, figure_setup, run_fct_experiment, FctScheme};
 use ups_metrics::{frac, mean_fct_by_bucket, overall_mean_fct, Table, FIG2_BUCKETS};
 
 fn workers_from_env(jobs: usize) -> usize {
-    std::env::var("UPS_SWEEP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, jobs)
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    env_knob("UPS_SWEEP_WORKERS", cores).clamp(1, jobs)
 }
 
 fn main() {

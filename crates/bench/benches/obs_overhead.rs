@@ -27,27 +27,13 @@
 
 use std::time::Instant;
 
-use ups_bench::fattree_throughput_workload;
+use ups_bench::{env_knob, fattree_throughput_workload};
 use ups_netsim::prelude::*;
 use ups_obs::TimeSeries;
 use ups_topology::{build_simulator, BuildOptions, SchedulerAssignment, Topology};
 
 const UTILIZATION: f64 = 0.7;
 const SEED: u64 = 42;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -167,9 +153,9 @@ fn json_mode(m: &Measurement) -> String {
 }
 
 fn main() {
-    let min_packets = env_u64("UPS_OBS_MIN_PACKETS", 120_000) as usize;
-    let runs = env_u64("UPS_OBS_RUNS", 5).max(1);
-    let tolerance = env_f64("UPS_OBS_TOLERANCE", 0.10);
+    let min_packets = env_knob("UPS_OBS_MIN_PACKETS", 120_000usize);
+    let runs = env_knob("UPS_OBS_RUNS", 5u64).max(1);
+    let tolerance = env_knob("UPS_OBS_TOLERANCE", 0.10f64);
     assert!(tolerance > 0.0, "UPS_OBS_TOLERANCE must be positive");
 
     let (topo, train) = fattree_throughput_workload(UTILIZATION, min_packets, SEED);

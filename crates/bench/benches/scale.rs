@@ -21,20 +21,13 @@
 
 use std::time::Instant;
 
-use ups_bench::peak_rss_bytes;
+use ups_bench::{env_knob, peak_rss_bytes};
 use ups_core::{compare, lstf_replay_stream};
 use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
 use ups_topology::{
     build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
 };
 use ups_workload::{profile_by_name, udp_packet_stream, Fixed, FlowSpec, PoissonWorkload, MTU};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Packets a flow list packetizes into at MTU granularity.
 fn train_packets(flows: &[FlowSpec]) -> u64 {
@@ -142,11 +135,11 @@ fn differential_gate(diff_packets: u64) -> (bool, bool, bool) {
 }
 
 fn main() {
-    let packet_floor = env_u64("UPS_SCALE_PACKETS", 5_000_000);
-    let min_flows = env_u64("UPS_SCALE_MIN_FLOWS", 10_000);
-    let flow_bytes = env_u64("UPS_SCALE_FLOW_BYTES", 150_000);
-    let rss_budget = env_u64("UPS_SCALE_RSS_BUDGET_MB", 512) * 1024 * 1024;
-    let diff_packets = env_u64("UPS_SCALE_DIFF_PACKETS", 120_000);
+    let packet_floor = env_knob("UPS_SCALE_PACKETS", 5_000_000u64);
+    let min_flows = env_knob("UPS_SCALE_MIN_FLOWS", 10_000u64);
+    let flow_bytes = env_knob("UPS_SCALE_FLOW_BYTES", 150_000u64);
+    let rss_budget = env_knob("UPS_SCALE_RSS_BUDGET_MB", 512u64) * 1024 * 1024;
+    let diff_packets = env_knob("UPS_SCALE_DIFF_PACKETS", 120_000u64);
 
     let (records_ok, reports_ok, summaries_ok) = differential_gate(diff_packets);
 

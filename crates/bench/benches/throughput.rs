@@ -14,19 +14,12 @@
 use std::time::Instant;
 
 use ups_bench::baseline::BaselineSim;
-use ups_bench::fattree_throughput_workload;
+use ups_bench::{env_knob, fattree_throughput_workload};
 use ups_netsim::prelude::*;
 use ups_topology::{build_simulator, BuildOptions, SchedulerAssignment};
 
 const UTILIZATION: f64 = 0.7;
 const SEED: u64 = 42;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Measurement {
     name: &'static str,
@@ -150,8 +143,8 @@ fn json_result(m: &Measurement, runs: u64) -> String {
 }
 
 fn main() {
-    let min_packets = env_u64("UPS_TPUT_MIN_PACKETS", 120_000) as usize;
-    let runs = env_u64("UPS_TPUT_RUNS", 3).max(1);
+    let min_packets = env_knob("UPS_TPUT_MIN_PACKETS", 120_000usize);
+    let runs = env_knob("UPS_TPUT_RUNS", 3u64).max(1);
 
     let (topo, train) = fattree_throughput_workload(UTILIZATION, min_packets, SEED);
     let (packets, flows) = (train.packets, train.flows);

@@ -4,7 +4,8 @@
 //!
 //! * [`scenarios`] + [`replay_exp`] — Table 1 and Figure 1 (replay),
 //! * [`objectives`] — Figures 2 (FCT), 3 (tail delay), 4 (fairness),
-//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`),
+//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`) and the one
+//!   parser of the benches' numeric env knobs ([`env_knob`]),
 //! * [`baseline`] — the pre-refactor heap-based hot path, kept as the
 //!   reference point for `benches/throughput.rs` / `BENCH_throughput.json`.
 //!
@@ -27,7 +28,7 @@ pub use objectives::{
     TailResult,
 };
 pub use replay_exp::{ReplayResult, ReplayScenario};
-pub use scale::{peak_rss_bytes, Scale};
+pub use scale::{env_knob, peak_rss_bytes, Scale};
 pub use scenarios::{
     fattree_throughput_workload, fig1_scenarios, figure_setup, table1_scenarios, FigureSetup,
     PAPER_FQ_FIFOPLUS, PAPER_TABLE1,

@@ -8,6 +8,8 @@
 //! restores paper-scale durations. EXPERIMENTS.md records which setting
 //! produced the committed numbers.
 
+use std::str::FromStr;
+
 use ups_netsim::prelude::Dur;
 
 /// Resolved scale parameters.
@@ -66,6 +68,32 @@ impl Scale {
     }
 }
 
+/// A numeric knob from the environment: `default` when `name` is unset,
+/// the parsed value otherwise. A value that does not parse ends the
+/// process (exit status 2) with the variable's name and the bad value —
+/// `UPS_SCALE_PACKETS=5e6` must not quietly run at the default.
+pub fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_knob`]'s parse step without the exit; `raw` is the variable's
+/// value, `None` when it is unset.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            format!(
+                "{name}={v:?} is not a valid {} value",
+                std::any::type_name::<T>()
+            )
+        }),
+    }
+}
+
 /// Peak resident-set size of this process in bytes, from `VmHWM` in
 /// `/proc/self/status` — the self-measurement the scale benchmark and its
 /// CI smoke test assert their memory budget against. Returns `0` on
@@ -98,6 +126,24 @@ mod tests {
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(peak_rss_bytes() > 0, "VmHWM must parse on procfs hosts");
         }
+    }
+
+    #[test]
+    fn knobs_parse_or_name_the_bad_value() {
+        assert_eq!(parse_knob("UPS_X", None, 7u64), Ok(7));
+        assert_eq!(parse_knob("UPS_X", Some("5000000"), 7u64), Ok(5_000_000));
+        assert_eq!(parse_knob("UPS_X", Some("0.25"), 0.1f64), Ok(0.25));
+        for bad in ["5e6", "", "-1", "12 ", "lots"] {
+            assert_eq!(
+                parse_knob("UPS_SCALE_PACKETS", Some(bad), 7u64),
+                Err(format!(
+                    "UPS_SCALE_PACKETS={bad:?} is not a valid u64 value"
+                ))
+            );
+        }
+        assert!(parse_knob("UPS_OBS_TOLERANCE", Some("ten%"), 0.1f64)
+            .unwrap_err()
+            .starts_with("UPS_OBS_TOLERANCE=\"ten%\""));
     }
 
     #[test]

@@ -9,20 +9,13 @@
 //! Knobs: `UPS_SMOKE_PACKETS` (floor; default 200_000 release / 40_000
 //! debug), `UPS_SMOKE_RSS_BUDGET_MB` (default 512).
 
-use ups_bench::peak_rss_bytes;
+use ups_bench::{env_knob, peak_rss_bytes};
 use ups_core::{compare, lstf_replay_stream};
 use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
 use ups_topology::{
     build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
 };
 use ups_workload::{profile_by_name, udp_packet_stream, FlowSpec, MTU};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn train_packets(flows: &[FlowSpec]) -> u64 {
     flows.iter().map(|f| f.size.div_ceil(MTU as u64)).sum()
@@ -63,8 +56,8 @@ fn capped_streaming_run_is_resident_identical_and_bounded() {
     } else {
         200_000
     };
-    let packet_floor = env_u64("UPS_SMOKE_PACKETS", default_floor);
-    let rss_budget = env_u64("UPS_SMOKE_RSS_BUDGET_MB", 512) * 1024 * 1024;
+    let packet_floor = env_knob("UPS_SMOKE_PACKETS", default_floor);
+    let rss_budget = env_knob("UPS_SMOKE_RSS_BUDGET_MB", 512u64) * 1024 * 1024;
 
     let topo = fattree(FatTreeParams::default());
     let profile = profile_by_name("web-search").expect("registered profile");

@@ -28,7 +28,7 @@ pub struct ChurnOutcome {
 ///
 /// With an empty schedule this adds **no** events and **no** oracle —
 /// the run is bit-identical to [`ups_core::run_schedule`] with the same
-/// inputs, which the zero-failure tests (and the failures bench, before
+/// inputs, which the zero-failure tests (and the degradation bench, before
 /// it writes anything) assert rather than assume.
 pub fn run_schedule_with_failures(
     topo: &Topology,
@@ -250,5 +250,72 @@ mod tests {
         let executed = as_executed_packets(&churn.trace);
         assert_eq!(executed.len() as u64, churn.stats.delivered);
         assert!(executed.iter().all(|p| p.kind == PacketKind::Data));
+    }
+
+    /// Per-hop records through link churn: a transmission aborted by a
+    /// dying link is not the hop's start (the reroute's start out of
+    /// another port of the same node is), and the queueing time a flush
+    /// charges reaches the hop record, so the per-hop detail agrees with
+    /// the end-to-end totals and with the ports' serialization.
+    #[test]
+    fn per_hop_records_stay_consistent_through_reroutes() {
+        use std::collections::BTreeMap;
+        use ups_netsim::prelude::{NodeId, SimTime};
+
+        let topo = topology_by_name("FatTree(k=4)").unwrap();
+        // Trains at near line rate, so ports hold queues when links die.
+        let packets = workload(&topo, 100, 2);
+        let window = Dur::from_us(100 * 2);
+        let random = SchedulerAssignment::uniform(SchedulerKind::Random);
+        let mut rerouted = 0;
+        for (rate, seed) in [(0.3, 7), (0.5, 42), (0.4, 5), (0.5, 21)] {
+            let schedule =
+                FailureSchedule::generate(&topo, FailureProfile::RandomLinks, rate, window, seed);
+            let opts = BuildOptions {
+                record: RecordMode::PerHop,
+                seed,
+                ..BuildOptions::default()
+            };
+            let churn = run_schedule_with_failures(
+                &topo,
+                &random,
+                packets.iter().cloned(),
+                &schedule,
+                DeadLinkPolicy::Reroute,
+                &opts,
+            );
+            rerouted += churn.stats.rerouted;
+            let mut starts: BTreeMap<(NodeId, NodeId), Vec<SimTime>> = BTreeMap::new();
+            for (id, r) in churn.trace.delivered().expect("resident trace") {
+                assert_eq!(r.hops.len() + 1, r.path.len(), "{id}: one hop per link");
+                let mut waited = Dur::ZERO;
+                for (h, &next) in r.hops.iter().zip(&r.path[1..]) {
+                    assert!(
+                        h.tx_start != SimTime::MAX && h.tx_start >= h.arrived,
+                        "{id}: tx_start {} before arrival {} at {}",
+                        h.tx_start,
+                        h.arrived,
+                        h.node
+                    );
+                    waited += h.waited;
+                    starts.entry((h.node, next)).or_default().push(h.tx_start);
+                }
+                assert_eq!(waited, r.total_wait, "{id}: Σ hop waits != total_wait");
+            }
+            // One port serializes one packet at a time.
+            for ((a, b), mut at) in starts {
+                let tx = topo.neighbor_link(a, b).unwrap().bandwidth.tx_time(1500);
+                at.sort_unstable();
+                for w in at.windows(2) {
+                    assert!(
+                        w[1].saturating_since(w[0]) >= tx,
+                        "rate {rate} seed {seed}: starts {} and {} on port {a}->{b} overlap",
+                        w[0],
+                        w[1]
+                    );
+                }
+            }
+        }
+        assert!(rerouted > 0, "churn must actually reroute");
     }
 }

@@ -10,7 +10,7 @@
 //!    epochs, but a single epoch's answer is a simple shortest path);
 //! 3. a `DynamicRouting` with zero failures answers exactly the static
 //!    `Routing` paths (the scheduler-level bit-identity counterpart
-//!    lives in `src/run.rs` and the failures bench).
+//!    lives in `src/run.rs` and the degradation bench).
 
 use std::collections::HashSet;
 use std::sync::Arc;

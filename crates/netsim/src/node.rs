@@ -278,13 +278,19 @@ impl Port {
     /// dead-link policy. The aborted transmission's pending `PortReady`
     /// goes stale through the token; bits already past this port (pending
     /// `Arrive`s) are on the wire and still land.
-    pub(crate) fn flush_dead(&mut self, now: SimTime, arena: &mut PacketArena) -> Vec<PacketRef> {
+    pub(crate) fn flush_dead(
+        &mut self,
+        now: SimTime,
+        arena: &mut PacketArena,
+        trace: &mut Trace,
+    ) -> Vec<PacketRef> {
         debug_assert!(!self.up, "flush_dead() on a live port");
         let mut out = Vec::new();
         if let Some(InFlight { qp, ends, .. }) = self.inflight.take() {
             // The unfinished tail of the transmission never happened.
             self.busy_time = self.busy_time - ends.saturating_since(now);
             arena.get_mut(qp.pkt).remaining_tx = None;
+            trace.on_tx_abort(arena.get(qp.pkt), self.node, Dur::ZERO);
             out.push(qp.pkt);
         }
         while let Some(qp) = self.scheduler.dequeue(arena, now, self.ctx()) {
@@ -297,6 +303,7 @@ impl Port {
             // serialization time; wherever it lands next is a different
             // link, so it must restart a full transmission there.
             p.remaining_tx = None;
+            trace.on_tx_abort(arena.get(qp.pkt), self.node, waited);
             out.push(qp.pkt);
         }
         out

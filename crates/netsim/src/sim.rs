@@ -582,7 +582,7 @@ impl Simulator {
             );
             port.up = up;
             if !up {
-                displaced.extend(port.flush_dead(now, &mut self.arena));
+                displaced.extend(port.flush_dead(now, &mut self.arena, &mut self.trace));
             }
         }
         for pkt in displaced {

@@ -258,7 +258,10 @@ impl ChunkCursor<'_> {
         self.refill(4);
         let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize; // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail
         self.refill(4 + len);
-        let rec = decode_record(&self.buf[self.pos + 4..self.pos + 4 + len]); // lint:allow(panic-path): framing invariant: the length prefix bounds the record slice
+        // lint:allow(panic-path): framing invariant: refill() buffered the whole length-prefixed record
+        let body = &self.buf[self.pos + 4..self.pos + 4 + len];
+        // lint:allow(panic-path): a corrupt spill record is unrecoverable mid-merge; abort with the decoder's message
+        let rec = decode_record(body).unwrap_or_else(|e| panic!("corrupt trace spill chunk: {e}"));
         self.pos += 4 + len;
         Some(rec)
     }
@@ -308,67 +311,115 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, id: u64, r: &PacketRecord) {
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes()); // lint:allow(panic-path): start+4 <= buf.len() by the encoder's own length accounting
 }
 
+/// Bytes one encoded [`HopRecord`] occupies: node, arrived, tx_start,
+/// waited.
+const HOP_BYTES: usize = 4 + 3 * 8;
+
+/// A bounds-checked little-endian reader over one record body. Every
+/// read checks the bytes left first, so corrupt input is an `Err`, never
+/// a panic or an allocation sized by an unchecked length prefix.
 struct Decoder<'a> {
-    b: &'a [u8],
-    p: usize,
+    rest: &'a [u8],
 }
 
-impl Decoder<'_> {
-    fn u8(&mut self) -> u8 {
-        let v = self.b[self.p];
-        self.p += 1;
-        v
+impl<'a> Decoder<'a> {
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], String> {
+        if n > self.rest.len() {
+            return Err(format!(
+                "trace spill record truncated in {what}: {n} bytes needed, {} left",
+                self.rest.len()
+            ));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
     }
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.b[self.p..self.p + 4].try_into().unwrap()); // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail
-        self.p += 4;
-        v
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], String> {
+        let Some((head, tail)) = self.rest.split_first_chunk::<N>() else {
+            return Err(format!(
+                "trace spill record truncated in {what}: {N} bytes needed, {} left",
+                self.rest.len()
+            ));
+        };
+        self.rest = tail;
+        Ok(*head)
     }
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.b[self.p..self.p + 8].try_into().unwrap()); // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 8-byte try_into cannot fail
-        self.p += 8;
-        v
+    fn u8(&mut self, what: &'static str) -> Result<u8, String> {
+        Ok(u8::from_le_bytes(self.array(what)?))
     }
+    fn u32(&mut self, what: &'static str) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+    fn u64(&mut self, what: &'static str) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+    /// A `u32` element count followed by that many `width`-byte
+    /// elements: the elements' bytes, checked against the bytes left
+    /// before the caller allocates anything for them.
+    fn counted(&mut self, width: usize, what: &'static str) -> Result<&'a [u8], String> {
+        let n = self.u32(what)? as usize;
+        let bytes = n.checked_mul(width).ok_or("trace spill length overflows")?;
+        self.take(bytes, what)
+    }
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Decode one record body (no length prefix) produced by [`encode_record`].
-pub(crate) fn decode_record(bytes: &[u8]) -> (u64, PacketRecord) {
-    let mut d = Decoder { b: bytes, p: 0 };
-    let id = d.u64();
-    let flow = FlowId(d.u64());
-    let size = d.u32();
-    let kind = match d.u8() {
+/// Malformed input — a short buffer, a bad tag, an oversized count or
+/// trailing bytes — is an `Err` naming what was wrong.
+pub(crate) fn decode_record(bytes: &[u8]) -> Result<(u64, PacketRecord), String> {
+    let mut d = Decoder { rest: bytes };
+    let id = d.u64("id")?;
+    let flow = FlowId(d.u64("flow")?);
+    let size = d.u32("size")?;
+    let kind = match d.u8("kind")? {
         0 => PacketKind::Data,
         1 => PacketKind::Ack,
-        k => panic!("bad packet kind tag {k} in trace spill"), // lint:allow(panic-path): tag bytes are written by the paired encoder; corruption must be loud
+        k => return Err(format!("bad packet kind tag {k} in trace spill")),
     };
-    let flags = d.u8();
-    let injected = SimTime::from_ps(d.u64());
-    let exited = if flags & 1 != 0 {
-        Some(SimTime::from_ps(d.u64()))
-    } else {
-        None
-    };
-    let total_wait = Dur::from_ps(d.u64());
-    let path_len = d.u32() as usize;
-    let path: std::sync::Arc<[NodeId]> = (0..path_len).map(|_| NodeId(d.u32())).collect();
-    let hops_len = d.u32() as usize;
-    let hops = (0..hops_len)
-        .map(|_| HopRecord {
-            node: NodeId(d.u32()),
-            arrived: SimTime::from_ps(d.u64()),
-            tx_start: SimTime::from_ps(d.u64()),
-            waited: Dur::from_ps(d.u64()),
-        })
-        .collect();
-    assert_eq!(d.p, bytes.len(), "trailing bytes in trace spill record");
+    let flags = d.u8("flags")?;
     let drop_cause = match (flags >> 2) & 3 {
         0 => None,
         1 => Some(DropCause::Buffer),
         2 => Some(DropCause::DeadLink),
-        c => panic!("bad drop cause tag {c} in trace spill"), // lint:allow(panic-path): tag bytes are written by the paired encoder; corruption must be loud
+        c => return Err(format!("bad drop cause tag {c} in trace spill")),
     };
-    (
+    let injected = SimTime::from_ps(d.u64("injected")?);
+    let exited = if flags & 1 != 0 {
+        Some(SimTime::from_ps(d.u64("exited")?))
+    } else {
+        None
+    };
+    let total_wait = Dur::from_ps(d.u64("total_wait")?);
+    let path: std::sync::Arc<[NodeId]> = d
+        .counted(4, "path")?
+        .chunks_exact(4)
+        .map(|b| NodeId(le_u32(b)))
+        .collect();
+    let hops = d
+        .counted(HOP_BYTES, "hops")?
+        .chunks_exact(HOP_BYTES)
+        .map(|b| HopRecord {
+            node: NodeId(le_u32(b)),
+            arrived: SimTime::from_ps(le_u64(&b[4..])),
+            tx_start: SimTime::from_ps(le_u64(&b[12..])),
+            waited: Dur::from_ps(le_u64(&b[20..])),
+        })
+        .collect();
+    if !d.rest.is_empty() {
+        return Err(format!(
+            "{} trailing bytes in trace spill record",
+            d.rest.len()
+        ));
+    }
+    Ok((
         id,
         PacketRecord {
             flow,
@@ -382,12 +433,13 @@ pub(crate) fn decode_record(bytes: &[u8]) -> (u64, PacketRecord) {
             drop_cause,
             hops,
         },
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn rec(injected_us: u64, exited: Option<u64>, cause: Option<DropCause>) -> PacketRecord {
@@ -411,9 +463,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn codec_round_trips_all_fields() {
-        for r in [
+    /// One record of each shape the codec distinguishes.
+    fn shapes() -> [PacketRecord; 4] {
+        [
             rec(5, Some(9), None),
             rec(5, None, Some(DropCause::Buffer)),
             rec(5, None, Some(DropCause::DeadLink)),
@@ -422,14 +474,81 @@ mod tests {
                 kind: PacketKind::Ack,
                 ..rec(0, Some(1), None)
             },
-        ] {
+        ]
+    }
+
+    /// `r` encoded under id 77, without its length prefix.
+    fn body(r: &PacketRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_record(&mut buf, 77, r);
+        buf.split_off(4)
+    }
+
+    #[test]
+    fn codec_round_trips_all_fields() {
+        for r in shapes() {
             let mut buf = Vec::new();
             encode_record(&mut buf, 77, &r);
             let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
             assert_eq!(len + 4, buf.len());
-            let (id, back) = decode_record(&buf[4..]);
+            let (id, back) = decode_record(&buf[4..]).unwrap();
             assert_eq!(id, 77);
             assert_eq!(back, r);
+        }
+    }
+
+    #[test]
+    fn huge_length_prefixes_are_errors_not_allocations() {
+        let good = body(&rec(5, Some(9), None));
+        // id, flow, size, kind, flags, injected, exited, total_wait.
+        let path_at = 8 + 8 + 4 + 1 + 1 + 8 + 8 + 8;
+        let hops_at = path_at + 4 + 3 * 4;
+        for (at, what) in [(path_at, "path"), (hops_at, "hops")] {
+            // u32::MAX elements would be a 16 GiB (path) or 112 GiB
+            // (hops) allocation if the count were trusted.
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = decode_record(&bad).unwrap_err();
+            assert!(err.starts_with(&format!("trace spill record truncated in {what}")));
+        }
+    }
+
+    #[test]
+    fn malformed_bodies_are_errors() {
+        let good = body(&rec(5, Some(9), None));
+        let err = |b: &[u8]| decode_record(b).unwrap_err();
+        assert!(err(&[]).contains("truncated in id"));
+        let mut bad_kind = good.clone();
+        bad_kind[20] = 9;
+        assert_eq!(err(&bad_kind), "bad packet kind tag 9 in trace spill");
+        let mut bad_cause = good.clone();
+        bad_cause[21] |= 3 << 2;
+        assert_eq!(err(&bad_cause), "bad drop cause tag 3 in trace spill");
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(err(&trailing), "1 trailing bytes in trace spill record");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn truncated_and_mutated_records_never_panic(
+            pick in 0usize..4,
+            cut in 0usize..1_000,
+            at in (0usize..1_000, 0usize..1_000),
+            with in (0u8..=255, 0u8..=255),
+        ) {
+            let good = body(&shapes()[pick]);
+            // Every strict prefix ends inside some field: always an Err.
+            let len = cut % good.len();
+            prop_assert!(decode_record(&good[..len]).is_err());
+            // Two byte overwrites anywhere (tags, flags, counts, payload):
+            // an Err or a record — returning at all is the property.
+            let mut bytes = good.clone();
+            let n = bytes.len();
+            bytes[at.0 % n] = with.0;
+            bytes[at.1 % n] = with.1;
+            let _ = decode_record(&bytes);
         }
     }
 

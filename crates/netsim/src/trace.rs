@@ -344,6 +344,29 @@ impl Trace {
         }
     }
 
+    /// `p` left `node`'s port without finishing a transmission there: its
+    /// link died. Any start recorded for this hop was aborted, so clear it
+    /// for the start that really carries the packet on (after a reroute,
+    /// out of another port of the same node), and charge the queueing time
+    /// `waited` the flush added to the packet's total.
+    pub(crate) fn on_tx_abort(&mut self, p: &Packet, node: NodeId, waited: Dur) {
+        if self.mode != RecordMode::PerHop {
+            return;
+        }
+        let Store::Resident(store) = &mut self.store else {
+            unreachable!("PerHop is always resident");
+        };
+        if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
+            match r.hops.last_mut() {
+                Some(h) if h.node == node => {
+                    h.tx_start = SimTime::MAX;
+                    h.waited += waited;
+                }
+                _ => debug_assert!(false, "tx abort without matching hop arrival"),
+            }
+        }
+    }
+
     pub(crate) fn on_exit(&mut self, p: &Packet, now: SimTime) {
         if self.mode == RecordMode::Off {
             return;

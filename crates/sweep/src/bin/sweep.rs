@@ -11,7 +11,7 @@
 //! sweep --failures none,random-links:0.3 \
 //!       --traffic open-loop              # link-failure (churn) sweeps
 //! sweep --list                            # registries and disciplines
-//! sweep --validate BENCH_sweep.json BENCH_quantized.json \
+//! sweep --validate BENCH_sweep.json BENCH_scale.json \
 //!       BENCH_divergence.json             # schema-check artifacts (the
 //!                                         # validator dispatches per tag)
 //! sweep explain --topos "Line(3)" --scheds Random --queues 1 \
@@ -372,9 +372,10 @@ fn list_registries() {
     println!("  --job ID           which expanded grid job to explain");
     println!("  --top K            rows per blame table (default 10)");
     println!("  --perfetto PATH    replay timeline + divergence instant markers");
-    println!("forensics bench (cargo bench -p ups-bench --bench forensics; env knobs):");
-    println!("  UPS_FORENSICS_PACKETS  packet floor per bench row (default 30000)");
-    println!("  UPS_FORENSICS_SEED     workload seed for both axes (default 7)");
+    println!("degradation bench (cargo bench -p ups-bench --bench forensics; no knobs):");
+    println!("  K axis             1, 2, 4, 8, 32, inf (sppifo; inf = dynamic, asserted exact)");
+    println!("  failure axis       random-links 0 .. 0.5 with reroute (0 = static, asserted)");
+    println!("  writes             BENCH_divergence.json (ups-bench-divergence/v2)");
 }
 
 /// Schema-check one artifact: the tag picks its field table and

@@ -76,11 +76,9 @@ pub use runner::{
     SharedScenarios, RECORD_SCHEMA,
 };
 pub use store::{
-    bench_sweep_json, validate_artifact, validate_bench_divergence, validate_bench_failures,
-    validate_bench_obs, validate_bench_quantized, validate_bench_scale, validate_bench_sweep,
-    validate_obs_timeseries, DivergenceDigest, FailuresDigest, ObsDigest, QuantizedDigest,
-    ResultStream, ScaleDigest, SweepDigest, TimeSeriesDigest, DIVERGENCE_BENCH_SCHEMA,
-    FAILURES_BENCH_SCHEMA, OBS_BENCH_SCHEMA, QUANTIZED_BENCH_SCHEMA, SCALE_BENCH_SCHEMA,
-    SWEEP_SCHEMA, THROUGHPUT_BENCH_SCHEMA,
+    bench_sweep_json, validate_artifact, validate_bench_divergence, validate_bench_obs,
+    validate_bench_scale, validate_bench_sweep, validate_obs_timeseries, DivergenceDigest,
+    ObsDigest, ResultStream, ScaleDigest, SweepDigest, TimeSeriesDigest, DIVERGENCE_BENCH_SCHEMA,
+    OBS_BENCH_SCHEMA, SCALE_BENCH_SCHEMA, SWEEP_SCHEMA, THROUGHPUT_BENCH_SCHEMA,
 };
 pub use telemetry::{Heartbeat, HeartbeatConfig};

@@ -2,7 +2,7 @@
 //!
 //! Every schema-tagged JSON document the workspace writes — the sweep
 //! aggregate and its record lines, the forensics block, the telemetry
-//! heartbeats and time series, and the six `BENCH_*.json` bench families
+//! heartbeats and time series, and the four `BENCH_*.json` bench families
 //! — is described here exactly once: a [`Field`] table naming every key
 //! the emitter writes, the [`Kind`] of its value, and whether it may be
 //! `null` or absent. [`walk`] checks a parsed document against a table
@@ -360,65 +360,6 @@ pub const THROUGHPUT: &[Field] = &[
     req("speedup_packets_per_sec", Num),
 ];
 
-const QUANTIZED_SCENARIO: &[Field] = &[
-    req("topology", Str),
-    req("original", Str),
-    req("mapper", Str),
-    req("utilization", Num),
-    req("seed", Count),
-    req("packets", Count),
-    req("flows", Count),
-    req("window_ms", Num),
-];
-
-const QUANTIZED_ROW: &[Field] = &[
-    nullable("k", Count),
-    req("match_rate", Num),
-    req("frac_gt_t", Num),
-    req("mean_fct_s", Num),
-    req("missing", Count),
-    req("max_lateness_us", Num),
-    optional("bit_identical_to_exact_lstf", True),
-];
-
-/// `ups-bench-quantized/v1`: `BENCH_quantized.json`.
-pub const QUANTIZED: &[Field] = &[
-    req("schema", OneOf(&[crate::store::QUANTIZED_BENCH_SCHEMA])),
-    req("scenario", Obj(QUANTIZED_SCENARIO)),
-    req("results", Array(&Obj(QUANTIZED_ROW))),
-];
-
-const FAILURES_SCENARIO: &[Field] = &[
-    req("topology", Str),
-    req("original", Str),
-    req("profile", Str),
-    req("inflight", OneOf(&["reroute", "drop"])),
-    req("utilization", Num),
-    req("seed", Count),
-    req("packets", Count),
-    req("flows", Count),
-    req("window_ms", Num),
-];
-
-const FAILURES_ROW: &[Field] = &[
-    req("rate", Num),
-    req("links_failed", Count),
-    req("rerouted", Count),
-    req("dropped_at_dead_link", Count),
-    req("delivered", Count),
-    req("match_rate", Num),
-    req("frac_gt_t", Num),
-    req("max_lateness_us", Num),
-    optional("bit_identical_to_static_routing", True),
-];
-
-/// `ups-bench-failures/v1`: `BENCH_failures.json`.
-pub const FAILURES: &[Field] = &[
-    req("schema", OneOf(&[crate::store::FAILURES_BENCH_SCHEMA])),
-    req("scenario", Obj(FAILURES_SCENARIO)),
-    req("results", Array(&Obj(FAILURES_ROW))),
-];
-
 const SCALE_SCENARIO: &[Field] = &[
     req("topology", Str),
     req("scheduler", Str),
@@ -485,7 +426,9 @@ pub const OBS: &[Field] = &[
 const DIVERGENCE_SCENARIO: &[Field] = &[
     req("topology", Str),
     req("original", Str),
+    req("mapper", Str),
     req("profile", Str),
+    req("inflight", OneOf(&["reroute", "drop"])),
     req("utilization", Num),
     req("seed", Count),
     req("packets", Count),
@@ -495,19 +438,32 @@ const DIVERGENCE_SCENARIO: &[Field] = &[
 
 const DIVERGENCE_K_ROW: &[Field] = &[
     nullable("k", Count),
+    req("mean_fct_s", Num),
+    req("missing", Count),
+    optional("bit_identical_to_exact_lstf", True),
     req("compared", Count),
     req("match_rate", Num),
+    req("frac_gt_t", Num),
+    req("max_lateness_us", Num),
     req("divergence", Obj(FORENSICS)),
 ];
 
 const DIVERGENCE_RATE_ROW: &[Field] = &[
     req("rate", Num),
+    req("links_failed", Count),
+    req("rerouted", Count),
+    req("dropped_at_dead_link", Count),
+    req("delivered", Count),
+    optional("bit_identical_to_static_routing", True),
     req("compared", Count),
     req("match_rate", Num),
+    req("frac_gt_t", Num),
+    req("max_lateness_us", Num),
     req("divergence", Obj(FORENSICS)),
 ];
 
-/// `ups-bench-divergence/v1`: `BENCH_divergence.json`.
+/// `ups-bench-divergence/v2`: `BENCH_divergence.json`, the one
+/// degradation artifact (finite-K and link-churn axes).
 pub const DIVERGENCE: &[Field] = &[
     req("schema", OneOf(&[crate::store::DIVERGENCE_BENCH_SCHEMA])),
     req("scenario", Obj(DIVERGENCE_SCENARIO)),

@@ -36,14 +36,6 @@ pub const SWEEP_SCHEMA: &str = "ups-sweep/v5";
 /// (`BENCH_throughput.json`).
 pub const THROUGHPUT_BENCH_SCHEMA: &str = "ups-bench-throughput/v1";
 
-/// Schema tag of the quantized-replay bench artifact
-/// (`BENCH_quantized.json`), validated by [`validate_bench_quantized`].
-pub const QUANTIZED_BENCH_SCHEMA: &str = "ups-bench-quantized/v1";
-
-/// Schema tag of the link-failure bench artifact
-/// (`BENCH_failures.json`), validated by [`validate_bench_failures`].
-pub const FAILURES_BENCH_SCHEMA: &str = "ups-bench-failures/v1";
-
 /// Schema tag of the streaming-pipeline scale bench artifact
 /// (`BENCH_scale.json`), validated by [`validate_bench_scale`].
 pub const SCALE_BENCH_SCHEMA: &str = "ups-bench-scale/v1";
@@ -52,9 +44,10 @@ pub const SCALE_BENCH_SCHEMA: &str = "ups-bench-scale/v1";
 /// validated by [`validate_bench_obs`].
 pub const OBS_BENCH_SCHEMA: &str = "ups-bench-obs/v1";
 
-/// Schema tag of the divergence-forensics bench artifact
-/// (`BENCH_divergence.json`), validated by [`validate_bench_divergence`].
-pub const DIVERGENCE_BENCH_SCHEMA: &str = "ups-bench-divergence/v1";
+/// Schema tag of the degradation bench artifact (`BENCH_divergence.json`:
+/// finite-K and link-churn axes with divergence blame), validated by
+/// [`validate_bench_divergence`].
+pub const DIVERGENCE_BENCH_SCHEMA: &str = "ups-bench-divergence/v2";
 
 /// Streams one JSON line per finished job. Shared across workers behind
 /// a mutex — append is one short write per multi-second job.
@@ -157,16 +150,6 @@ const ARTIFACTS: &[Artifact] = &[
         invariants: throughput_invariants,
     },
     Artifact {
-        tag: QUANTIZED_BENCH_SCHEMA,
-        table: schema::QUANTIZED,
-        invariants: |v| quantized_invariants(v).map(|d| d.to_string()),
-    },
-    Artifact {
-        tag: FAILURES_BENCH_SCHEMA,
-        table: schema::FAILURES,
-        invariants: |v| failures_invariants(v).map(|d| d.to_string()),
-    },
-    Artifact {
         tag: SCALE_BENCH_SCHEMA,
         table: schema::SCALE,
         invariants: |v| scale_invariants(v).map(|d| d.to_string()),
@@ -243,9 +226,8 @@ fn is_set(v: &JsonValue, key: &str) -> bool {
     !matches!(v.get(key), None | Some(JsonValue::Null))
 }
 
-/// The K-axis rule shared by the quantized and divergence benches:
-/// finite K ascending (each ≥ 1), then exactly one `k: null`
-/// (exact-LSTF) row, last.
+/// The divergence bench's K-axis rule: finite K ascending (each ≥ 1),
+/// then exactly one `k: null` (exact-LSTF) row, last.
 fn k_axis(axis: &str, rows: &[JsonValue]) -> Result<(), String> {
     let mut last_k = 0.0f64;
     let mut saw_exact = false;
@@ -273,9 +255,8 @@ fn k_axis(axis: &str, rows: &[JsonValue]) -> Result<(), String> {
     }
 }
 
-/// The failure-rate axis rule shared by the failures and divergence
-/// benches: rates ascend within [0, 1], starting at the zero-failure
-/// baseline.
+/// The divergence bench's failure-rate axis rule: rates ascend within
+/// [0, 1], starting at the zero-failure baseline.
 fn rate_axis(axis: &str, rows: &[JsonValue]) -> Result<(), String> {
     let mut last_rate = f64::NEG_INFINITY;
     for (i, r) in rows.iter().enumerate() {
@@ -475,97 +456,6 @@ fn throughput_invariants(v: &JsonValue) -> Result<String, String> {
         results.len(),
         num(v, "speedup_packets_per_sec")?
     ))
-}
-
-/// What a valid quantized-bench artifact reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedDigest {
-    /// Finite-K rows recorded (the `k = null` row is the ∞ point).
-    pub rows: usize,
-    /// Match rate of the exact (K=∞) replay.
-    pub exact_match_rate: f64,
-}
-
-impl fmt::Display for QuantizedDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} finite-K rows, exact-LSTF match rate {:.4}",
-            self.rows, self.exact_match_rate
-        )
-    }
-}
-
-/// Validate a `BENCH_quantized.json` document (the `quantized` bench's
-/// K-sweep artifact; schema [`QUANTIZED_BENCH_SCHEMA`]): K ascends to
-/// exactly one `k: null` exact-LSTF row, which asserts bit-identity with
-/// the exact replay.
-pub fn validate_bench_quantized(doc: &str) -> Result<QuantizedDigest, String> {
-    quantized_invariants(&load(doc, QUANTIZED_BENCH_SCHEMA)?)
-}
-
-fn quantized_invariants(v: &JsonValue) -> Result<QuantizedDigest, String> {
-    let results = rows(v, "results")?;
-    k_axis("results", results)?;
-    let exact = results.last().ok_or("results array is empty")?;
-    if exact.get("bit_identical_to_exact_lstf").is_none() {
-        return Err("the exact row must assert bit_identical_to_exact_lstf: true".into());
-    }
-    Ok(QuantizedDigest {
-        rows: results.len() - 1,
-        exact_match_rate: num(exact, "match_rate")?,
-    })
-}
-
-/// What a valid failures-bench artifact reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailuresDigest {
-    /// Intensity rows recorded (including the zero-failure baseline).
-    pub rows: usize,
-    /// Match rate of the zero-failure (static-network) row.
-    pub baseline_match_rate: f64,
-    /// Match rate of the highest-intensity row.
-    pub worst_match_rate: f64,
-}
-
-impl fmt::Display for FailuresDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} intensity rows, match rate {:.4} (static) -> {:.4} (worst)",
-            self.rows, self.baseline_match_rate, self.worst_match_rate
-        )
-    }
-}
-
-/// Validate a `BENCH_failures.json` document (the `failures` bench's
-/// match-rate-vs-failure-intensity curve; schema
-/// [`FAILURES_BENCH_SCHEMA`]). Rows must be sorted by ascending `rate`,
-/// start at `rate: 0`, and the zero row must assert bit-identity with
-/// the static-routing run.
-pub fn validate_bench_failures(doc: &str) -> Result<FailuresDigest, String> {
-    failures_invariants(&load(doc, FAILURES_BENCH_SCHEMA)?)
-}
-
-fn failures_invariants(v: &JsonValue) -> Result<FailuresDigest, String> {
-    let results = rows(v, "results")?;
-    let (Some(baseline), Some(worst)) = (results.first(), results.last()) else {
-        return Err("results array is empty".into());
-    };
-    if results.len() < 2 {
-        return Err("need at least the zero-failure row and one churn row".into());
-    }
-    rate_axis("results", results)?;
-    if baseline.get("bit_identical_to_static_routing").is_none() {
-        return Err(
-            "the zero-failure row must assert bit_identical_to_static_routing: true".into(),
-        );
-    }
-    Ok(FailuresDigest {
-        rows: results.len(),
-        baseline_match_rate: num(baseline, "match_rate")?,
-        worst_match_rate: num(worst, "match_rate")?,
-    })
 }
 
 /// What a valid scale-bench artifact reports.
@@ -841,11 +731,13 @@ impl fmt::Display for DivergenceDigest {
 }
 
 /// Validate a `BENCH_divergence.json` document (the `forensics` bench's
-/// blame-distribution artifact; schema [`DIVERGENCE_BENCH_SCHEMA`]).
-/// Both axes must be present and non-trivial: `quantization` rows
-/// ascend in K and end in exactly one `k: null` (exact-LSTF) row;
-/// `failures` rows ascend in rate starting from the zero-failure
-/// baseline. Every row's `ups-forensics/v1` block must be conserved.
+/// degradation artifact; schema [`DIVERGENCE_BENCH_SCHEMA`]). Both axes
+/// must be present and non-trivial: `quantization` rows ascend in K and
+/// end in exactly one `k: null` (exact-LSTF) row, which asserts
+/// `bit_identical_to_exact_lstf: true`; `failures` rows ascend in rate
+/// from the zero-failure baseline, which asserts
+/// `bit_identical_to_static_routing: true`. Every row's
+/// `ups-forensics/v1` block must be conserved.
 pub fn validate_bench_divergence(doc: &str) -> Result<DivergenceDigest, String> {
     divergence_invariants(&load(doc, DIVERGENCE_BENCH_SCHEMA)?)
 }
@@ -856,11 +748,25 @@ fn divergence_invariants(v: &JsonValue) -> Result<DivergenceDigest, String> {
         return Err("quantization axis needs at least one finite-K row and the exact row".into());
     }
     k_axis("quantization", quant)?;
+    // The table admits each bit-identity key as optional; the baseline
+    // row of its axis must carry it (the walk already pinned it to true).
+    if quant
+        .last()
+        .and_then(|r| r.get("bit_identical_to_exact_lstf"))
+        .is_none()
+    {
+        return Err("the exact row must assert bit_identical_to_exact_lstf: true".into());
+    }
     let failures = rows(v, "failures")?;
     if failures.len() < 2 {
         return Err("failures axis needs the zero-failure row and one churn row".into());
     }
     rate_axis("failures", failures)?;
+    if failures[0].get("bit_identical_to_static_routing").is_none() {
+        return Err(
+            "the zero-failure row must assert bit_identical_to_static_routing: true".into(),
+        );
+    }
     let mut total_mismatches = 0;
     for (axis, axis_rows) in [("quantization", quant), ("failures", failures)] {
         for (i, r) in axis_rows.iter().enumerate() {
@@ -1152,57 +1058,6 @@ mod tests {
             .contains("static-network"));
     }
 
-    const FAIL_DOC: &str = r#"{
-  "schema": "ups-bench-failures/v1",
-  "scenario": {"topology": "FatTree(k=4)", "original": "Random", "profile": "random-links",
-               "inflight": "reroute", "utilization": 0.7, "seed": 42, "packets": 20000,
-               "flows": 30, "window_ms": 8.000},
-  "results": [
-    {"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
-     "delivered": 20000, "match_rate": 0.99, "frac_gt_t": 0.001, "max_lateness_us": 4.8,
-     "bit_identical_to_static_routing": true},
-    {"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
-     "delivered": 19988, "match_rate": 0.93, "frac_gt_t": 0.02, "max_lateness_us": 4.8},
-    {"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
-     "delivered": 19940, "match_rate": 0.81, "frac_gt_t": 0.09, "max_lateness_us": 4.8}
-  ]
-}"#;
-
-    #[test]
-    fn failures_bench_artifact_validates() {
-        let d = validate_bench_failures(FAIL_DOC).expect("valid artifact");
-        assert_eq!(
-            d,
-            FailuresDigest {
-                rows: 3,
-                baseline_match_rate: 0.99,
-                worst_match_rate: 0.81
-            }
-        );
-        assert!(validate_bench_failures("{}").is_err());
-        let wrong = FAIL_DOC.replace("ups-bench-failures/v1", "ups-sweep/v5");
-        assert!(validate_bench_failures(&wrong)
-            .unwrap_err()
-            .contains("schema"));
-        // The zero row must assert bit-identity with static routing.
-        let unasserted = FAIL_DOC.replace(
-            r#""bit_identical_to_static_routing": true"#,
-            r#""bit_identical_to_static_routing": false"#,
-        );
-        assert!(validate_bench_failures(&unasserted)
-            .unwrap_err()
-            .contains("bit_identical_to_static_routing"));
-        // Rates must ascend.
-        let shuffled = FAIL_DOC.replace(r#""rate": 0.25"#, r#""rate": 0.75"#);
-        assert!(validate_bench_failures(&shuffled)
-            .unwrap_err()
-            .contains("ascend"));
-        let missing = FAIL_DOC.replace(r#""rerouted": 900, "#, "");
-        assert!(validate_bench_failures(&missing)
-            .unwrap_err()
-            .contains("rerouted"));
-    }
-
     /// One conserved `ups-forensics/v1` block as a JSON fragment:
     /// causes 5 + 2 + 1 = 8, inversions 4 + 3 + 1 = 8.
     const DIV_BLOCK: &str = r#"{"schema":"ups-forensics/v1","mismatches":8,
@@ -1215,18 +1070,29 @@ mod tests {
     fn divergence_doc() -> String {
         format!(
             r#"{{
-  "schema": "ups-bench-divergence/v1",
-  "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "profile": "fixed-mtu",
-               "utilization": 0.7, "seed": 42, "packets": 20000, "flows": 30,
-               "window_ms": 8.000}},
+  "schema": "ups-bench-divergence/v2",
+  "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "mapper": "sppifo",
+               "profile": "random-links", "inflight": "reroute", "utilization": 0.7,
+               "seed": 42, "packets": 20000, "flows": 30, "window_ms": 8.000}},
   "quantization": [
-    {{"k": 1, "compared": 20000, "match_rate": 0.42, "divergence": {d}}},
-    {{"k": 8, "compared": 20000, "match_rate": 0.9, "divergence": {d}}},
-    {{"k": null, "compared": 20000, "match_rate": 0.99, "divergence": {d}}}
+    {{"k": 1, "mean_fct_s": 0.011, "missing": 0, "compared": 20000, "match_rate": 0.42,
+     "frac_gt_t": 0.3, "max_lateness_us": 900.5, "divergence": {d}}},
+    {{"k": 8, "mean_fct_s": 0.009, "missing": 0, "compared": 20000, "match_rate": 0.9,
+     "frac_gt_t": 0.01, "max_lateness_us": 120.25, "divergence": {d}}},
+    {{"k": null, "mean_fct_s": 0.008, "missing": 0, "bit_identical_to_exact_lstf": true,
+     "compared": 20000, "match_rate": 0.99, "frac_gt_t": 0.0, "max_lateness_us": 4.8,
+     "divergence": {d}}}
   ],
   "failures": [
-    {{"rate": 0, "compared": 20000, "match_rate": 0.99, "divergence": {d}}},
-    {{"rate": 0.5, "compared": 19900, "match_rate": 0.8, "divergence": {d}}}
+    {{"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
+     "delivered": 20000, "bit_identical_to_static_routing": true, "compared": 20000,
+     "match_rate": 0.99, "frac_gt_t": 0.001, "max_lateness_us": 4.8, "divergence": {d}}},
+    {{"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
+     "delivered": 19988, "compared": 19988, "match_rate": 0.93, "frac_gt_t": 0.02,
+     "max_lateness_us": 4.8, "divergence": {d}}},
+    {{"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
+     "delivered": 19940, "compared": 19940, "match_rate": 0.81, "frac_gt_t": 0.09,
+     "max_lateness_us": 4.8, "divergence": {d}}}
   ]
 }}"#,
             d = DIV_BLOCK
@@ -1241,25 +1107,26 @@ mod tests {
             d,
             DivergenceDigest {
                 quantization_rows: 3,
-                failure_rows: 2,
-                total_mismatches: 40, // 8 per row × 5 rows
+                failure_rows: 3,
+                total_mismatches: 48, // 8 per row × 6 rows
             }
         );
         assert!(validate_bench_divergence("{}").is_err());
-        let wrong = doc.replace("ups-bench-divergence/v1", "ups-sweep/v5");
+        let wrong = doc.replace("ups-bench-divergence/v2", "ups-sweep/v5");
         assert!(validate_bench_divergence(&wrong)
             .unwrap_err()
             .contains("schema"));
+        // v1 (before the quantized and failures benches folded in) is
+        // retired: the dispatch no longer knows its tag.
+        let v1 = doc.replace("ups-bench-divergence/v2", "ups-bench-divergence/v1");
+        assert!(validate_artifact(&v1)
+            .unwrap_err()
+            .starts_with(r#"unknown schema "ups-bench-divergence/v1""#));
         // Conservation is enforced per row.
         let unconserved = doc.replacen(r#""overdue_within_t":5"#, r#""overdue_within_t":6"#, 1);
         assert!(validate_bench_divergence(&unconserved)
             .unwrap_err()
             .contains("not conserved"));
-        // K must ascend and end at the k = null exact row.
-        let shuffled = doc.replace(r#""k": 8"#, r#""k": 1"#);
-        assert!(validate_bench_divergence(&shuffled)
-            .unwrap_err()
-            .contains("ascend"));
         let no_exact = doc.replace(r#""k": null"#, r#""k": 64"#);
         assert!(validate_bench_divergence(&no_exact)
             .unwrap_err()
@@ -1269,13 +1136,104 @@ mod tests {
         assert!(validate_bench_divergence(&no_zero)
             .unwrap_err()
             .contains("zero-failure"));
-        // Both axes are mandatory — a one-axis artifact is not "both
-        // axes present", which the issue's acceptance criterion demands.
+        // Both axes are mandatory.
         let axisless = doc.replace(r#""failures""#, r#""failurez""#);
         assert_eq!(
             validate_bench_divergence(&axisless).unwrap_err(),
             "failures missing"
         );
+    }
+
+    /// The K axis of `ups-bench-divergence/v2`: the checks the retired
+    /// `ups-bench-quantized/v1` validator made, now on the quantization
+    /// rows of the one degradation artifact.
+    #[test]
+    fn quantized_bench_artifact_validates() {
+        let doc = divergence_doc();
+        validate_bench_divergence(&doc).expect("valid artifact");
+        // The retired tag no longer validates.
+        let retired = doc.replace("ups-bench-divergence/v2", "ups-bench-quantized/v1");
+        assert!(validate_bench_divergence(&retired)
+            .unwrap_err()
+            .contains("schema"));
+        assert!(validate_artifact(&retired)
+            .unwrap_err()
+            .starts_with("unknown schema"));
+        // The ∞ row must assert bit-identity with exact LSTF...
+        let unasserted = doc.replace(
+            r#""bit_identical_to_exact_lstf": true"#,
+            r#""bit_identical_to_exact_lstf": false"#,
+        );
+        assert_eq!(
+            validate_bench_divergence(&unasserted).unwrap_err(),
+            "quantization[2].bit_identical_to_exact_lstf: expected true, got false"
+        );
+        // ...and may not leave the assertion out.
+        let silent = doc.replace(r#""bit_identical_to_exact_lstf": true,"#, "");
+        assert!(validate_bench_divergence(&silent)
+            .unwrap_err()
+            .contains("must assert bit_identical_to_exact_lstf"));
+        // K must ascend and end at the k = null exact row.
+        let shuffled = doc.replace(r#""k": 8"#, r#""k": 1"#);
+        assert!(validate_bench_divergence(&shuffled)
+            .unwrap_err()
+            .contains("ascend"));
+        let after_exact = doc.replacen(r#""k": 1,"#, r#""k": null,"#, 1);
+        assert!(validate_bench_divergence(&after_exact)
+            .unwrap_err()
+            .contains("after the k = null"));
+        // Every K-row column is required.
+        for (field, gone) in [
+            ("match_rate", r#""match_rate": 0.9,"#),
+            ("mean_fct_s", r#""mean_fct_s": 0.009, "#),
+            ("max_lateness_us", r#""max_lateness_us": 120.25, "#),
+        ] {
+            let missing = doc.replace(gone, "");
+            assert_eq!(
+                validate_bench_divergence(&missing).unwrap_err(),
+                format!("quantization[1].{field} missing")
+            );
+        }
+    }
+
+    /// The rate axis of `ups-bench-divergence/v2`: the checks the retired
+    /// `ups-bench-failures/v1` validator made, now on the failures rows.
+    #[test]
+    fn failures_bench_artifact_validates() {
+        let doc = divergence_doc();
+        validate_bench_divergence(&doc).expect("valid artifact");
+        let retired = doc.replace("ups-bench-divergence/v2", "ups-bench-failures/v1");
+        assert!(validate_bench_divergence(&retired)
+            .unwrap_err()
+            .contains("schema"));
+        // The zero row must assert bit-identity with static routing...
+        let unasserted = doc.replace(
+            r#""bit_identical_to_static_routing": true"#,
+            r#""bit_identical_to_static_routing": false"#,
+        );
+        assert!(validate_bench_divergence(&unasserted)
+            .unwrap_err()
+            .contains("bit_identical_to_static_routing"));
+        // ...and may not leave the assertion out.
+        let silent = doc.replace(r#""bit_identical_to_static_routing": true,"#, "");
+        assert!(validate_bench_divergence(&silent)
+            .unwrap_err()
+            .contains("must assert bit_identical_to_static_routing"));
+        // Rates must ascend.
+        let shuffled = doc.replace(r#""rate": 0.25"#, r#""rate": 0.75"#);
+        assert!(validate_bench_divergence(&shuffled)
+            .unwrap_err()
+            .contains("ascend"));
+        let missing = doc.replace(r#""rerouted": 900, "#, "");
+        assert_eq!(
+            validate_bench_divergence(&missing).unwrap_err(),
+            "failures[1].rerouted missing"
+        );
+        // The in-flight policy is one of the two the runner knows.
+        let sideways = doc.replace(r#""inflight": "reroute""#, r#""inflight": "sideways""#);
+        assert!(validate_bench_divergence(&sideways)
+            .unwrap_err()
+            .starts_with("scenario.inflight: unexpected"));
     }
 
     #[test]
@@ -1286,51 +1244,6 @@ mod tests {
         let doc = bench_sweep_json(&grid(), &[r], &stats, 1.0);
         let err = validate_bench_sweep(&doc).unwrap_err();
         assert!(err.contains("transport"), "bad error: {err}");
-    }
-
-    const QUANT_DOC: &str = r#"{
-  "schema": "ups-bench-quantized/v1",
-  "scenario": {"topology": "FatTree(k=4)", "original": "Random", "mapper": "dynamic",
-               "utilization": 0.7, "seed": 42, "packets": 20000, "flows": 30,
-               "window_ms": 8.000},
-  "results": [
-    {"k": 1, "match_rate": 0.42, "frac_gt_t": 0.3, "mean_fct_s": 0.011, "missing": 0,
-     "max_lateness_us": 900.5},
-    {"k": 8, "match_rate": 0.9, "frac_gt_t": 0.01, "mean_fct_s": 0.009, "missing": 0,
-     "max_lateness_us": 120.25},
-    {"k": null, "match_rate": 0.99, "frac_gt_t": 0.0, "mean_fct_s": 0.008, "missing": 0,
-     "max_lateness_us": 4.8, "bit_identical_to_exact_lstf": true}
-  ]
-}"#;
-
-    #[test]
-    fn quantized_bench_artifact_validates() {
-        let d = validate_bench_quantized(QUANT_DOC).expect("valid artifact");
-        assert_eq!(
-            d,
-            QuantizedDigest {
-                rows: 2,
-                exact_match_rate: 0.99
-            }
-        );
-        // Sweep artifacts are not quantized-bench artifacts and vice versa.
-        assert!(validate_bench_quantized("{}").is_err());
-        let wrong = QUANT_DOC.replace("ups-bench-quantized/v1", "ups-sweep/v3");
-        assert!(validate_bench_quantized(&wrong)
-            .unwrap_err()
-            .contains("schema"));
-        // The ∞ row must assert bit-identity with exact LSTF.
-        let unasserted = QUANT_DOC.replace(
-            r#""bit_identical_to_exact_lstf": true"#,
-            r#""bit_identical_to_exact_lstf": false"#,
-        );
-        assert!(validate_bench_quantized(&unasserted)
-            .unwrap_err()
-            .contains("bit_identical_to_exact_lstf"));
-        let missing = QUANT_DOC.replace(r#""match_rate": 0.9, "#, "");
-        assert!(validate_bench_quantized(&missing)
-            .unwrap_err()
-            .contains("match_rate"));
     }
 
     const SCALE_DOC: &str = r#"{
@@ -1619,8 +1532,6 @@ mod tests {
         let docs = [
             (SWEEP_SCHEMA, sweep.as_str()),
             (THROUGHPUT_BENCH_SCHEMA, THROUGHPUT_DOC),
-            (QUANTIZED_BENCH_SCHEMA, QUANT_DOC),
-            (FAILURES_BENCH_SCHEMA, FAIL_DOC),
             (SCALE_BENCH_SCHEMA, SCALE_DOC),
             (OBS_BENCH_SCHEMA, OBS_DOC),
             (DIVERGENCE_BENCH_SCHEMA, divergence.as_str()),

@@ -14,9 +14,8 @@ use proptest::prelude::*;
 use ups_metrics::FORENSICS_SCHEMA;
 use ups_sweep::json::parse;
 use ups_sweep::{
-    validate_artifact, DIVERGENCE_BENCH_SCHEMA, FAILURES_BENCH_SCHEMA, OBS_BENCH_SCHEMA,
-    QUANTIZED_BENCH_SCHEMA, RECORD_SCHEMA, SCALE_BENCH_SCHEMA, SWEEP_SCHEMA,
-    THROUGHPUT_BENCH_SCHEMA,
+    validate_artifact, DIVERGENCE_BENCH_SCHEMA, OBS_BENCH_SCHEMA, RECORD_SCHEMA,
+    SCALE_BENCH_SCHEMA, SWEEP_SCHEMA, THROUGHPUT_BENCH_SCHEMA,
 };
 
 /// Committed `BENCH_*` files that are not schema-tagged artifacts: the
@@ -53,11 +52,9 @@ fn committed_artifacts() -> Vec<(String, String)> {
 }
 
 /// The committed artifact of each family, with the tag it must carry.
-const FAMILIES: [(&str, &str); 7] = [
+const FAMILIES: [(&str, &str); 5] = [
     ("BENCH_divergence.json", DIVERGENCE_BENCH_SCHEMA),
-    ("BENCH_failures.json", FAILURES_BENCH_SCHEMA),
     ("BENCH_obs.json", OBS_BENCH_SCHEMA),
-    ("BENCH_quantized.json", QUANTIZED_BENCH_SCHEMA),
     ("BENCH_scale.json", SCALE_BENCH_SCHEMA),
     ("BENCH_sweep.json", SWEEP_SCHEMA),
     ("BENCH_throughput.json", THROUGHPUT_BENCH_SCHEMA),
